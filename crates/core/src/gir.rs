@@ -297,7 +297,8 @@ impl<'a, G: GridTable> Gir<'a, G> {
     }
 
     /// Materializes a [`ThresholdIndex`] for this engine's data sets at
-    /// the given k-buckets (one top-k oracle scan of `P` per weight).
+    /// the given k-buckets (per weight, `|P|` dot products and one
+    /// nested selection down the bucket ladder).
     /// Build-only; attach the result with
     /// [`Self::attach_threshold_index`] to serve from it.
     ///

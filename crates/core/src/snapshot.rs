@@ -336,38 +336,16 @@ impl EngineState {
     /// Live points as `(external id, row)` in internal-id order — the
     /// order a rebuild-from-scratch must use to be comparable.
     pub fn live_point_entries(&self) -> Vec<(u64, &[f64])> {
-        let base_n = self.base.points.len();
-        let mut out = Vec::with_capacity(self.live_point_count());
-        for id in 0..base_n + self.delta.appended_points_len() {
-            if self.delta.point_tombstoned(id) {
-                continue;
-            }
-            let row = if id < base_n {
-                self.base.points.point(PointId(id))
-            } else {
-                self.delta.appended_point(id - base_n)
-            };
-            out.push((self.point_ext[id], row));
-        }
-        out
+        live_points(&self.base, &self.delta)
+            .map(|(id, row)| (self.point_ext[id], row))
+            .collect()
     }
 
     /// Live weights as `(external id, row)` in internal-id order.
     pub fn live_weight_entries(&self) -> Vec<(u64, &[f64])> {
-        let base_n = self.base.weights.len();
-        let mut out = Vec::with_capacity(self.live_weight_count());
-        for wid in 0..base_n + self.delta.appended_weights_len() {
-            if self.delta.weight_tombstoned(wid) {
-                continue;
-            }
-            let row = if wid < base_n {
-                self.base.weights.weight(WeightId(wid))
-            } else {
-                self.delta.appended_weight(wid - base_n)
-            };
-            out.push((self.weight_ext[wid], row));
-        }
-        out
+        live_weights(&self.base, &self.delta)
+            .map(|(wid, row)| (self.weight_ext[wid], row))
+            .collect()
     }
 
     /// The threshold table attached to this epoch, if any.
@@ -409,13 +387,6 @@ impl EngineState {
 
     pub(crate) fn threshold_arc(&self) -> Option<Arc<ThresholdIndex>> {
         self.threshold.clone()
-    }
-
-    fn live_point_rows(&self) -> Vec<&[f64]> {
-        self.live_point_entries()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
     }
 }
 
@@ -573,12 +544,12 @@ impl DynamicEngine {
             0,
             0,
         )?;
-        let live_rows = cur.live_point_rows();
-        for wid in 0..width {
-            if cur.delta.weight_tombstoned(wid) {
-                continue;
-            }
-            idx.recompute_column(wid, weight_row(&cur, wid), &live_rows);
+        let live_rows: Vec<&[f64]> = live_points(&cur.base, &cur.delta)
+            .map(|(_, row)| row)
+            .collect();
+        let mut keys = Vec::with_capacity(live_rows.len());
+        for (wid, w) in live_weights(&cur.base, &cur.delta) {
+            idx.recompute_column(wid, w, live_rows.iter().copied(), &mut keys);
         }
         idx.stamp(&cur.base.points, &cur.base.weights, cur.epoch);
         let next = EngineState {
@@ -723,12 +694,8 @@ impl DynamicEngine {
         let mut new_weight_cols: Vec<usize> = Vec::new();
         let old_threshold = cur.threshold.as_deref();
         let mut flag_affected = |idx: &ThresholdIndex, row: &[f64], cur: &EngineState| {
-            for wid in 0..cur.total_weight_width() {
-                if cur.delta.weight_tombstoned(wid) {
-                    continue;
-                }
-                let s = rrq_types::dot(weight_row(cur, wid), row);
-                if idx.row_affected(wid, s) {
+            for (wid, w) in live_weights(&cur.base, &cur.delta) {
+                if idx.row_affected(wid, rrq_types::dot(w, row)) {
                     affected.push(wid);
                 }
             }
@@ -754,13 +721,7 @@ impl DynamicEngine {
                             message: format!("external point id {ext} vanished before publish"),
                         })?;
                     if let Some(idx) = old_threshold {
-                        let row = if id < base_p {
-                            cur.base.points.point(PointId(id))
-                        } else {
-                            delta.appended_point(id - base_p)
-                        };
-                        let row = row.to_vec();
-                        flag_affected(idx, &row, &cur);
+                        flag_affected(idx, point_row(&cur.base, &delta, id), &cur);
                     }
                     delta.point_tombs.insert(id);
                     self.point_by_ext.remove(ext);
@@ -808,21 +769,16 @@ impl DynamicEngine {
             repair.extend(new_weight_cols.iter().copied());
             repair.sort_unstable();
             repair.dedup();
-            let next_probe = EngineState {
-                base: Arc::clone(&cur.base),
-                delta: delta.clone(),
-                threshold: None,
-                epoch,
-                point_ext: point_ext.clone(),
-                weight_ext: weight_ext.clone(),
-            };
-            let live_rows = next_probe.live_point_rows();
+            let live_rows: Vec<&[f64]> =
+                live_points(&cur.base, &delta).map(|(_, row)| row).collect();
+            let mut keys = Vec::with_capacity(live_rows.len());
             let mut repaired = 0u64;
             for &wid in &repair {
                 if delta.weight_tombstoned(wid) {
                     continue;
                 }
-                idx.recompute_column(wid, weight_row(&next_probe, wid), &live_rows);
+                let w = weight_row(&cur.base, &delta, wid);
+                idx.recompute_column(wid, w, live_rows.iter().copied(), &mut keys);
                 repaired += 1;
             }
             idx.set_live_points(live_rows.len());
@@ -865,45 +821,19 @@ impl DynamicEngine {
         threshold: Option<ThresholdIndex>,
         epoch: u64,
     ) -> RrqResult<EngineState> {
-        let base_p = cur.base.points.len();
-        let base_w = cur.base.weights.len();
         let dim = cur.base.points.dim();
         let mut points = PointSet::new(dim, cur.base.points.value_range())?;
         let mut new_point_ext = Vec::new();
-        for (id, &ext) in point_ext
-            .iter()
-            .enumerate()
-            .take(base_p + delta.appended_points_len())
-        {
-            if delta.point_tombstoned(id) {
-                continue;
-            }
-            let row = if id < base_p {
-                cur.base.points.point(PointId(id))
-            } else {
-                delta.appended_point(id - base_p)
-            };
+        for (id, row) in live_points(&cur.base, &delta) {
             points.push_slice(row)?;
-            new_point_ext.push(ext);
+            new_point_ext.push(point_ext[id]);
         }
         let mut weights = WeightSet::new(dim)?;
         let mut new_weight_ext = Vec::new();
         let mut keep_cols = Vec::new();
-        for (wid, &ext) in weight_ext
-            .iter()
-            .enumerate()
-            .take(base_w + delta.appended_weights_len())
-        {
-            if delta.weight_tombstoned(wid) {
-                continue;
-            }
-            let row = if wid < base_w {
-                cur.base.weights.weight(WeightId(wid))
-            } else {
-                delta.appended_weight(wid - base_w)
-            };
+        for (wid, row) in live_weights(&cur.base, &delta) {
             weights.push_slice(row)?;
-            new_weight_ext.push(ext);
+            new_weight_ext.push(weight_ext[wid]);
             keep_cols.push(wid);
         }
         self.point_by_ext = new_point_ext
@@ -961,14 +891,49 @@ impl DynamicEngine {
     }
 }
 
-/// The live data row of internal weight id `wid` in `state`.
-fn weight_row(state: &EngineState, wid: usize) -> &[f64] {
-    let base_w = state.base.weights.len();
-    if wid < base_w {
-        state.base.weights.weight(WeightId(wid))
+/// The row of internal point id `id`: base rows first, then the append
+/// tail of `delta`.
+fn point_row<'a>(base: &'a BaseData, delta: &'a DeltaIndex, id: usize) -> &'a [f64] {
+    let base_p = base.points.len();
+    if id < base_p {
+        base.points.point(PointId(id))
     } else {
-        state.delta.appended_weight(wid - base_w)
+        delta.appended_point(id - base_p)
     }
+}
+
+/// The row of internal weight id `wid`: base rows first, then the append
+/// tail of `delta`.
+fn weight_row<'a>(base: &'a BaseData, delta: &'a DeltaIndex, wid: usize) -> &'a [f64] {
+    let base_w = base.weights.len();
+    if wid < base_w {
+        base.weights.weight(WeightId(wid))
+    } else {
+        delta.appended_weight(wid - base_w)
+    }
+}
+
+/// The live points of `base` under `delta` as `(internal id, row)`, in
+/// internal-id order — the order a rebuild-from-scratch must use to be
+/// comparable.
+fn live_points<'a>(
+    base: &'a BaseData,
+    delta: &'a DeltaIndex,
+) -> impl Iterator<Item = (usize, &'a [f64])> + 'a {
+    (0..base.points.len() + delta.appended_points_len())
+        .filter(move |&id| !delta.point_tombstoned(id))
+        .map(move |id| (id, point_row(base, delta, id)))
+}
+
+/// The live weights of `base` under `delta` as `(internal id, row)`, in
+/// internal-id order.
+fn live_weights<'a>(
+    base: &'a BaseData,
+    delta: &'a DeltaIndex,
+) -> impl Iterator<Item = (usize, &'a [f64])> + 'a {
+    (0..base.weights.len() + delta.appended_weights_len())
+        .filter(move |&wid| !delta.weight_tombstoned(wid))
+        .map(move |wid| (wid, weight_row(base, delta, wid)))
 }
 
 #[cfg(test)]

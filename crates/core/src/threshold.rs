@@ -10,15 +10,26 @@
 //! generalisation: `s_k(w)` is nondecreasing in `k`, so a sorted set of
 //! materialized k-buckets brackets any query `k` from both sides.
 //!
-//! The table is built once via the existing top-k oracle — a
-//! [`KBestHeap`] scan over `P` per weight, offering order-preserving
-//! score bit patterns — and stored column-major per k-bucket
-//! (`scores[bucket_idx · |W| + wid]`) so a per-weight scan under one
-//! `k` walks one contiguous row. Scores are produced by the same
-//! left-to-right [`dot`] kernel the refine path uses, which makes every
-//! threshold comparison *exact* over the computed `f64` values: the
-//! short-circuit answers are byte-identical to a full grid scan, never
-//! approximate.
+//! One column kernel (`ThresholdIndex::recompute_column`) fills every
+//! weight's thresholds, for the build and for the mutable engine's
+//! repair alike. It computes the `|P|` scores of the weight with the
+//! same left-to-right [`dot`] kernel the refine path uses and keeps their
+//! IEEE bit patterns, which order non-negative finite scores exactly as
+//! the scores themselves. It then walks the buckets from the largest
+//! down: `select_nth_unstable(b − 1)` places the b-th smallest key at
+//! `b − 1` and the `b − 1` smallest keys to its left, so each smaller
+//! rung selects within the prefix the previous one left. A column costs
+//! `|P|` dot products plus this nested selection (expected time linear
+//! in `|P|` for a ladder whose rungs at least halve); no `|P|`-capacity
+//! heap is built. An order statistic has exactly one value, so the
+//! stored thresholds do not depend on the order of the rows or on how
+//! the selection permutes them, and every threshold comparison is
+//! *exact* over the computed `f64` values: the short-circuit answers are
+//! byte-identical to a full grid scan, never approximate.
+//!
+//! The table is stored column-major per k-bucket
+//! (`scores[bucket_idx · |W| + wid]`) so a per-weight scan under one `k`
+//! walks one contiguous row.
 //!
 //! Serve-side, the index is attached to a [`crate::Gir`] (and thereby
 //! its parallel/pooled engines) after a staleness check against the
@@ -27,7 +38,7 @@
 //! or truncated artifact is rejected with a typed error, not silently
 //! misread.
 
-use rrq_types::{dot, KBestHeap, RrqError, RrqResult, WeightId};
+use rrq_types::{dot, RrqError, RrqResult};
 use rrq_types::{PointSet, WeightSet};
 
 /// 64-bit FNV-1a over a byte stream — the workspace's zero-dependency
@@ -136,10 +147,10 @@ pub struct ThresholdIndex {
 }
 
 impl ThresholdIndex {
-    /// Materializes the table: one [`KBestHeap`] top-k scan of `P` per
-    /// weight, using the same scalar [`dot`] kernel as the query-time
-    /// refine path so stored thresholds compare exactly against query
-    /// scores.
+    /// Materializes the table: one pass of the column kernel (see the
+    /// module docs) over `P` per weight, using the same scalar [`dot`]
+    /// kernel as the query-time refine path so stored thresholds compare
+    /// exactly against query scores.
     ///
     /// `buckets` is sorted and deduplicated; every bucket must be ≥ 1.
     ///
@@ -158,57 +169,32 @@ impl ThresholdIndex {
         let mut bs: Vec<usize> = buckets.to_vec();
         bs.sort_unstable();
         bs.dedup();
-        let Some(&max_bucket) = bs.last() else {
+        let Some(&min_bucket) = bs.first() else {
             return Err(RrqError::InvalidParameter {
                 name: "buckets",
                 message: "at least one k-bucket is required".to_string(),
             });
         };
-        if bs[0] == 0 {
+        if min_bucket == 0 {
             return Err(RrqError::InvalidParameter {
                 name: "buckets",
                 message: "k-buckets must be ≥ 1".to_string(),
             });
         }
-        let n_points = points.len();
-        let n_weights = weights.len();
-        let cap = max_bucket.min(n_points);
-        let mut scores = vec![f64::INFINITY; bs.len() * n_weights];
-        let mut kth: Vec<f64> = Vec::with_capacity(cap);
-        for (wid, w) in weights.iter() {
-            kth.clear();
-            if cap > 0 {
-                // Non-negative finite scores make the IEEE bit pattern
-                // order-preserving, so the rank-domain heap doubles as a
-                // k-smallest-score oracle without an extra comparator.
-                let mut heap = KBestHeap::new(cap);
-                for (_, p) in points.iter() {
-                    let s = dot(w, p);
-                    heap.offer(s.to_bits() as usize, WeightId(0));
-                }
-                kth.extend(
-                    heap.into_result()
-                        .entries()
-                        .iter()
-                        .map(|e| f64::from_bits(e.rank as u64)),
-                );
-            }
-            for (bi, &b) in bs.iter().enumerate() {
-                if b <= kth.len() {
-                    scores[bi * n_weights + wid.0] = kth[b - 1];
-                }
-            }
-        }
-        let fingerprint = epoch_fingerprint(points, weights, 0);
-        Ok(Self {
+        let mut idx = Self {
+            scores: vec![f64::INFINITY; bs.len() * weights.len()],
             buckets: bs,
-            n_points,
-            n_weights,
+            n_points: points.len(),
+            n_weights: weights.len(),
             dims: points.dim(),
-            scores,
-            fingerprint,
+            fingerprint: epoch_fingerprint(points, weights, 0),
             epoch: 0,
-        })
+        };
+        let mut keys = Vec::with_capacity(points.len());
+        for (wid, w) in weights.iter() {
+            idx.recompute_column(wid.0, w, points.iter().map(|(_, p)| p), &mut keys);
+        }
+        Ok(idx)
     }
 
     /// Reassembles an index from persisted parts, re-validating the
@@ -439,34 +425,32 @@ impl ThresholdIndex {
         s <= self.score_at(last, wid)
     }
 
-    /// Recomputes the full score column of `wid` from the live point
-    /// rows, with the same oracle (and the same left-to-right [`dot`]
-    /// kernel) as [`Self::build`] — a repaired column is therefore
-    /// byte-identical to a rebuild-from-scratch over the same rows in
-    /// the same order.
-    pub(crate) fn recompute_column(&mut self, wid: usize, w: &[f64], live_points: &[&[f64]]) {
-        let max_bucket = self.buckets.last().copied().unwrap_or(0);
-        let cap = max_bucket.min(live_points.len());
-        let mut kth: Vec<f64> = Vec::with_capacity(cap);
-        if cap > 0 {
-            let mut heap = KBestHeap::new(cap);
-            for &p in live_points {
-                let s = dot(w, p);
-                heap.offer(s.to_bits() as usize, WeightId(0));
-            }
-            kth.extend(
-                heap.into_result()
-                    .entries()
-                    .iter()
-                    .map(|e| f64::from_bits(e.rank as u64)),
-            );
-        }
-        for (bi, &b) in self.buckets.iter().enumerate() {
-            self.scores[bi * self.n_weights + wid] = if b <= kth.len() {
-                kth[b - 1]
+    /// Recomputes the full score column of `wid` from `rows`: the column
+    /// kernel of [`Self::build`] and of the mutable engine's repair (see
+    /// the module docs). `keys` is scratch space, reused across columns.
+    /// The column depends only on the multiset of `dot(w, p)` scores, so
+    /// a repaired column is byte-identical to a rebuild-from-scratch over
+    /// the same rows.
+    pub(crate) fn recompute_column<'a>(
+        &mut self,
+        wid: usize,
+        w: &[f64],
+        rows: impl IntoIterator<Item = &'a [f64]>,
+        keys: &mut Vec<u64>,
+    ) {
+        keys.clear();
+        keys.extend(rows.into_iter().map(|p| dot(w, p).to_bits()));
+        // Invariant: `prefix` holds the `prefix.len()` smallest keys.
+        let mut prefix = keys.as_mut_slice();
+        for (bi, &b) in self.buckets.iter().enumerate().rev() {
+            let kth = if b <= prefix.len() {
+                let (below, kth, _) = std::mem::take(&mut prefix).select_nth_unstable(b - 1);
+                prefix = below;
+                f64::from_bits(*kth)
             } else {
                 f64::INFINITY
             };
+            self.scores[bi * self.n_weights + wid] = kth;
         }
     }
 
@@ -522,12 +506,52 @@ impl ThresholdIndex {
 mod tests {
     use super::*;
     use rrq_data::synthetic;
+    use rrq_types::WeightId;
 
     fn workload(dim: usize, np: usize, nw: usize, seed: u64) -> (PointSet, WeightSet) {
         (
             synthetic::uniform_points(dim, np, 10_000.0, seed).unwrap(),
             synthetic::uniform_weights(dim, nw, seed + 1).unwrap(),
         )
+    }
+
+    /// Exact dyadic ties: `np` points with coordinates in {0, 1, 2, 3},
+    /// each row three times in a row, and weights whose components are
+    /// multiples of 1/4. Every product and sum is exact, so the scores
+    /// take at most 13 values and collide at and around every rung.
+    fn tied_workload(np: usize) -> (PointSet, WeightSet) {
+        let mut p = PointSet::new(3, 4.0).unwrap();
+        for i in 0..np {
+            let j = i / 3;
+            p.push_slice(&[(j % 4) as f64, (j * 3 / 4 % 4) as f64, (j * 7 % 4) as f64])
+                .unwrap();
+        }
+        let mut w = WeightSet::new(3).unwrap();
+        for row in [
+            [1.0, 0.0, 0.0],
+            [0.5, 0.25, 0.25],
+            [0.25, 0.5, 0.25],
+            [0.0, 0.25, 0.75],
+            [0.0, 0.5, 0.5],
+        ] {
+            w.push_slice(&row).unwrap();
+        }
+        (p, w)
+    }
+
+    /// Asserts that every stored threshold equals the sort oracle over
+    /// `points` bit for bit: the b-th smallest score for `b ≤ |P|`, `+∞`
+    /// past it.
+    fn assert_matches_sort_oracle(idx: &ThresholdIndex, points: &PointSet, weights: &WeightSet) {
+        for (wid, wrow) in weights.iter() {
+            let mut scores: Vec<f64> = points.iter().map(|(_, p)| dot(wrow, p)).collect();
+            scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for (bi, &b) in idx.buckets().iter().enumerate() {
+                let want = scores.get(b - 1).copied().unwrap_or(f64::INFINITY);
+                let got = idx.scores()[bi * weights.len() + wid.0];
+                assert_eq!(got.to_bits(), want.to_bits(), "w{} b{}", wid.0, b);
+            }
+        }
     }
 
     /// The b-th smallest dot score over P under w, by sorting.
@@ -548,26 +572,48 @@ mod tests {
     #[test]
     fn build_matches_sort_oracle_for_every_bucket() {
         let (p, w) = workload(4, 60, 12, 7);
-        let buckets = [1usize, 5, 17, 60];
-        let idx = ThresholdIndex::build(&p, &w, &buckets).unwrap();
-        for (wid, wrow) in w.iter() {
-            for (bi, &b) in buckets.iter().enumerate() {
-                let want = kth_by_sort(&p, wrow, b);
-                let got = idx.scores()[bi * w.len() + wid.0];
-                assert_eq!(got.to_bits(), want.to_bits(), "w{} b{}", wid.0, b);
-            }
-        }
+        let idx = ThresholdIndex::build(&p, &w, &[1, 5, 17, 60]).unwrap();
+        assert_matches_sort_oracle(&idx, &p, &w);
     }
 
     #[test]
     fn buckets_beyond_p_hold_infinity() {
         let (p, w) = workload(3, 10, 4, 3);
         let idx = ThresholdIndex::build(&p, &w, &[5, 10, 11, 500]).unwrap();
+        assert_matches_sort_oracle(&idx, &p, &w);
         for wid in 0..w.len() {
             assert!(idx.scores()[2 * w.len() + wid].is_infinite(), "b=11");
             assert!(idx.scores()[3 * w.len() + wid].is_infinite(), "b=500");
             assert!(idx.scores()[w.len() + wid].is_finite(), "b=10=|P|");
         }
+    }
+
+    #[test]
+    fn build_is_exact_under_heavy_ties() {
+        let (p, w) = tied_workload(90);
+        // Every rank is a rung, so each tie run is selected at, below
+        // and above its ends; the last two rungs lie past |P|.
+        let every_rank: Vec<usize> = (1..=p.len() + 2).collect();
+        let idx = ThresholdIndex::build(&p, &w, &every_rank).unwrap();
+        assert_matches_sort_oracle(&idx, &p, &w);
+    }
+
+    #[test]
+    fn build_over_zero_and_one_point() {
+        let (_, w) = workload(3, 0, 4, 37);
+        for np in [0usize, 1] {
+            let (p, _) = workload(3, np, 1, 41);
+            let idx = ThresholdIndex::build(&p, &w, &[1, 2, 7]).unwrap();
+            assert_matches_sort_oracle(&idx, &p, &w);
+        }
+    }
+
+    #[test]
+    fn build_matches_sort_oracle_on_the_default_ladder() {
+        let (p, w) = workload(5, 1_000, 6, 43);
+        let buckets = ThresholdIndex::default_buckets(&[10], p.len());
+        let idx = ThresholdIndex::build(&p, &w, &buckets).unwrap();
+        assert_matches_sort_oracle(&idx, &p, &w);
     }
 
     #[test]
@@ -739,15 +785,47 @@ mod tests {
         let buckets = [1usize, 4, 13, 50];
         let mut idx = ThresholdIndex::build(&p, &w, &buckets).unwrap();
         // Scribble over two columns, then repair them from the same rows.
-        let rows: Vec<&[f64]> = p.iter().map(|(_, row)| row).collect();
         let oracle = idx.clone();
+        let mut keys = Vec::new();
         for wid in [2usize, 7] {
             for bi in 0..buckets.len() {
                 idx.scores[bi * idx.n_weights + wid] = -1.0;
             }
-            idx.recompute_column(wid, w.weight(WeightId(wid)), &rows);
+            let rows = p.iter().map(|(_, row)| row);
+            idx.recompute_column(wid, w.weight(WeightId(wid)), rows, &mut keys);
         }
         assert_eq!(idx.scores(), oracle.scores());
+    }
+
+    #[test]
+    fn recompute_column_over_a_subset_equals_build_over_it() {
+        let (p, w) = tied_workload(60);
+        let buckets = ThresholdIndex::default_buckets(&[3], p.len());
+        let mut idx = ThresholdIndex::build(&p, &w, &buckets).unwrap();
+        // Drop every third row: 40 rows survive, so the top rung (60)
+        // now lies past the key count.
+        let kept: Vec<&[f64]> = p
+            .iter()
+            .filter(|(id, _)| id.0 % 3 != 1)
+            .map(|(_, row)| row)
+            .collect();
+        let mut sub = PointSet::new(p.dim(), p.value_range()).unwrap();
+        for row in &kept {
+            sub.push_slice(row).unwrap();
+        }
+        let oracle = ThresholdIndex::build(&sub, &w, &buckets).unwrap();
+        let mut keys = Vec::new();
+        for (wid, wrow) in w.iter() {
+            // Row order does not matter: odd columns get the rows reversed.
+            if wid.0 % 2 == 0 {
+                idx.recompute_column(wid.0, wrow, kept.iter().copied(), &mut keys);
+            } else {
+                idx.recompute_column(wid.0, wrow, kept.iter().rev().copied(), &mut keys);
+            }
+        }
+        let bits = |t: &ThresholdIndex| t.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&idx), bits(&oracle));
+        assert_matches_sort_oracle(&oracle, &sub, &w);
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! change the allocation-call count. (`noop_alloc.rs` pins the same
 //! property with its own counting allocator so it also runs without the
 //! feature; this test is the acceptance gate's `alloc-track` variant.)
+//!
+//! `TrackingAlloc` keeps process-wide counters, so in principle it books
+//! any thread's allocations against the window, the exposure that made
+//! `noop_alloc.rs` switch to a per-thread tally. Here it is harmless:
+//! this binary holds this one test, so no sibling test runs during the
+//! window, and the harness's main thread only waits for the result. A
+//! second test in this file would bring the exposure back.
 #![cfg(feature = "alloc-track")]
 
 use rrq_obs::alloc::{snapshot, TrackingAlloc};

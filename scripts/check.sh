@@ -31,6 +31,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench tests (name guard, determinism, oracle checks)"
+# The repository benchmark (BENCHMARK.json, perfbench/) is a Cargo
+# workspace of its own, so the workspace test run above never builds it:
+# without this step a broken benchmark would pass the gate.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> miri (optional: nightly-only, deepens the alloc-track audit)"
 # The counting-allocator tests in crates/obs are the workspace's only
 # unsafe code; when a nightly toolchain with Miri is installed, replay
