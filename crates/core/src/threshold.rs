@@ -389,23 +389,45 @@ impl ThresholdIndex {
         }
     }
 
+    /// The rank floor of query score `fq` under weight `wid`, as a slot
+    /// in `0..=buckets().len()`: the number of rungs `b` with
+    /// `s_b(w) < fq`.
+    ///
+    /// `s_b(w)` is nondecreasing in `b`, so those rungs form a prefix of
+    /// the ladder, found by binary search. A nonzero slot `i` proves
+    /// `rank(q, w) ≥ buckets()[i − 1]`: that many points score at most
+    /// `s_b(w) < fq`, i.e. strictly below `fq`. Buckets past `|P|` hold
+    /// `+∞` and never count.
+    #[inline]
+    pub(crate) fn rank_floor(&self, wid: usize, fq: f64) -> usize {
+        let (mut lo, mut hi) = (0, self.buckets.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.score_at(mid, wid) < fq {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The rank a [`Self::rank_floor`] slot proves: `0` for slot 0, else
+    /// the largest rung whose score lies strictly below `fq`.
+    #[inline]
+    pub(crate) fn floor_rung(&self, slot: usize) -> usize {
+        slot.checked_sub(1).map_or(0, |i| self.buckets[i])
+    }
+
     /// Whether the thresholds certify `rank(q, w) > bound` — i.e. a
     /// bounded [`crate::Gir`] scan (`gin_rank`) would return `None`, so
     /// the RKR heap offer can be skipped without changing the result.
     ///
-    /// Uses the smallest materialized bucket `b ≥ bound + 1`:
-    /// `fq > s_b(w) ≥ s_{bound+1}(w)` implies at least `bound + 1`
-    /// points score strictly below `fq`.
+    /// Holds iff the floor rung ([`Self::rank_floor`]) exceeds `bound`.
+    /// An unsaturated heap (`bound == usize::MAX`) never skips.
     #[inline]
     pub(crate) fn certifies_rank_above(&self, wid: usize, bound: usize, fq: f64) -> bool {
-        let target = bound.saturating_add(1);
-        let ins = match self.buckets.binary_search(&target) {
-            Ok(i) => i,
-            Err(i) => i,
-        };
-        // Buckets beyond |P| hold +∞, so `fq > s` is naturally false
-        // there: an unsaturated heap (bound == usize::MAX) never skips.
-        ins < self.buckets.len() && fq > self.score_at(ins, wid)
+        self.floor_rung(self.rank_floor(wid, fq)) > bound
     }
 
     // ---- incremental maintenance (the mutable engine's write path) ----
@@ -719,6 +741,92 @@ mod tests {
             }
             // An unsaturated heap never skips.
             assert!(!idx.certifies_rank_above(wid.0, usize::MAX, f64::MAX));
+        }
+    }
+
+    /// Checks `rank_floor` against the sort oracle for every weight, at
+    /// every distinct score, its two float neighbours, and query scores
+    /// below and above every score: the slot equals the number of rungs
+    /// whose oracle threshold (`+∞` past `|P|`) lies strictly below `fq`;
+    /// the floor rung is sound (≤ the true rank) and tight (the next
+    /// rung scores ≥ `fq`); and `certifies_rank_above` is exactly
+    /// `floor > bound`. Returns the number of probes checked.
+    fn assert_rank_floor_matches_oracle(
+        idx: &ThresholdIndex,
+        points: &PointSet,
+        weights: &WeightSet,
+    ) -> usize {
+        assert_matches_sort_oracle(idx, points, weights);
+        let mut checked = 0;
+        for (wid, wrow) in weights.iter() {
+            let wid = wid.0;
+            let mut scores: Vec<f64> = points.iter().map(|(_, p)| dot(wrow, p)).collect();
+            scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let rung_score = |b: usize| scores.get(b - 1).copied().unwrap_or(f64::INFINITY);
+            let mut probes = vec![-1.0, 0.0, f64::MAX, f64::INFINITY];
+            for &s in &scores {
+                probes.extend([s, s.next_down(), s.next_up()]);
+            }
+            for fq in probes {
+                let slot = idx.rank_floor(wid, fq);
+                let want = idx
+                    .buckets()
+                    .iter()
+                    .filter(|&&b| rung_score(b) < fq)
+                    .count();
+                assert_eq!(slot, want, "w{wid} fq {fq}: slot");
+                let floor = idx.floor_rung(slot);
+                let rank = scores.iter().filter(|&&s| s < fq).count();
+                assert!(floor <= rank, "w{wid} fq {fq}: floor {floor} > rank {rank}");
+                if let Some(&next) = idx.buckets().get(slot) {
+                    assert!(
+                        rung_score(next) >= fq,
+                        "w{wid} fq {fq}: rung {next} not tight"
+                    );
+                }
+                for bound in (0..=points.len() + 1).chain([usize::MAX]) {
+                    assert_eq!(
+                        idx.certifies_rank_above(wid, bound, fq),
+                        floor > bound,
+                        "w{wid} fq {fq} bound {bound}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn rank_floor_agrees_with_sort_oracle() {
+        // Distinct scores, with rungs past |P| = 30.
+        let (p, w) = workload(3, 30, 6, 17);
+        let idx = ThresholdIndex::build(&p, &w, &[1, 4, 12, 30, 31, 64]).unwrap();
+        assert!(assert_rank_floor_matches_oracle(&idx, &p, &w) > 0);
+        // Heavy ties: fq lands exactly on rung scores that several
+        // points share, on every rank and two past |P|.
+        let (p, w) = tied_workload(45);
+        let every_rank: Vec<usize> = (1..=p.len() + 2).collect();
+        let idx = ThresholdIndex::build(&p, &w, &every_rank).unwrap();
+        assert!(assert_rank_floor_matches_oracle(&idx, &p, &w) > 0);
+        // The default ladder.
+        let (p, w) = workload(4, 200, 5, 43);
+        let buckets = ThresholdIndex::default_buckets(&[10], p.len());
+        let idx = ThresholdIndex::build(&p, &w, &buckets).unwrap();
+        assert!(assert_rank_floor_matches_oracle(&idx, &p, &w) > 0);
+    }
+
+    #[test]
+    fn rank_floor_over_zero_and_one_point() {
+        let (_, w) = workload(3, 0, 4, 37);
+        for np in [0usize, 1] {
+            let (p, _) = workload(3, np, 1, 41);
+            let idx = ThresholdIndex::build(&p, &w, &[1, 2, 7]).unwrap();
+            assert!(assert_rank_floor_matches_oracle(&idx, &p, &w) > 0);
+            // Every rung past |P| is +∞: no score ever has a floor above |P|.
+            for wid in 0..w.len() {
+                assert!(idx.floor_rung(idx.rank_floor(wid, f64::INFINITY)) <= np);
+            }
         }
     }
 

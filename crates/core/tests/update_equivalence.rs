@@ -17,7 +17,10 @@
 //! byte-identical between the two, for every engine, and every explained
 //! run's funnel must reconcile *exactly* against the counters of the
 //! same run (`Funnel::reconcile`, which includes the new
-//! `tombstones_skipped` / `appended_scanned` mirrors). The rebuild
+//! `tombstones_skipped` / `appended_scanned` mirrors). With a threshold
+//! index, the incrementally repaired table itself must equal a
+//! from-scratch build over the live rows, bit for bit, on every live
+//! column. The rebuild
 //! legitimately books different counters (its grid re-tightens the
 //! weight axis), so counters are reconciled per engine, not compared
 //! across the pair — results are the contract.
@@ -27,7 +30,9 @@
 //! compaction fold in the middle of a query stream, and k at both edges
 //! (1 and beyond the live cardinality).
 
-use rrq_core::{pool_scope, BoundMode, DynamicEngine, EngineState, Gir, GirConfig, ParConfig};
+use rrq_core::{
+    pool_scope, BoundMode, DynamicEngine, EngineState, Gir, GirConfig, ParConfig, ThresholdIndex,
+};
 use rrq_data::synthetic;
 use rrq_obs::ExplainDoc;
 use rrq_types::{PointSet, QueryStats, RkrQuery, RtkQuery, WeightSet};
@@ -237,6 +242,52 @@ fn run_explained<F: Fn(usize) -> u64>(
     (rtk_out, rkr_out)
 }
 
+/// The repaired threshold table of `state` equals `ThresholdIndex::build`
+/// over the live rows with the same buckets, bit for bit, on every live
+/// column. Tombstoned columns are dead storage until compaction and are
+/// skipped. This pins the publish path's `row_affected` filter: a column
+/// it wrongly leaves unrepaired keeps stale rungs here even when no
+/// query answer happens to expose them.
+fn assert_threshold_table_matches_rebuild(state: &EngineState, buckets: &[usize], label: &str) {
+    let table = state
+        .threshold_index()
+        .unwrap_or_else(|| panic!("{label}: no threshold index attached"));
+    let dim = table.dims();
+    let mut p = PointSet::new(dim, RANGE).unwrap();
+    for (_, row) in state.live_point_entries() {
+        p.push_slice(row).unwrap();
+    }
+    let mut w = WeightSet::new(dim).unwrap();
+    for (_, row) in state.live_weight_entries() {
+        w.push_slice(row).unwrap();
+    }
+    let oracle = ThresholdIndex::build(&p, &w, buckets).unwrap();
+    assert_eq!(table.buckets(), oracle.buckets(), "{label}: buckets");
+    assert_eq!(table.n_points(), oracle.n_points(), "{label}: live points");
+    assert_eq!(
+        table.n_weights(),
+        state.total_weight_width(),
+        "{label}: width"
+    );
+    let mut live = 0;
+    for wid in 0..state.total_weight_width() {
+        if !state.weight_is_live(wid) {
+            continue;
+        }
+        for (bi, b) in oracle.buckets().iter().enumerate() {
+            let got = table.scores()[bi * table.n_weights() + wid];
+            let want = oracle.scores()[bi * oracle.n_weights() + live];
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{label}: column {wid} rung {b} diverged from rebuild"
+            );
+        }
+        live += 1;
+    }
+    assert_eq!(live, oracle.n_weights(), "{label}: live columns");
+}
+
 /// The heart of the harness: at one query point, every engine over the
 /// mutable snapshot must equal every engine over the rebuilt oracle,
 /// after external-id mapping, and every funnel must reconcile.
@@ -272,6 +323,9 @@ fn assert_query_point(
         .map(|(e, r)| (*e, r.to_vec()))
         .collect();
     assert_eq!(live_p, shadow.points, "{label}: live points vs shadow");
+    if let Some(b) = buckets {
+        assert_threshold_table_matches_rebuild(state, b, label);
+    }
 
     let (want_rtk, want_rkr, _) = run_plain(&oracle, Engine::Seq, q, k, |wid| ow_ext[wid]);
 

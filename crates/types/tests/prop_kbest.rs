@@ -79,3 +79,36 @@ fn threshold_monotone_under_improvement() {
         }
     }
 }
+
+/// The retained set does not depend on the order of the offers: every
+/// permutation of a stream with heavy rank ties yields the same result.
+/// Best-first RKR, which offers weights in rank-floor order instead of
+/// id order, rests on this.
+#[test]
+fn result_is_independent_of_offer_order() {
+    let mut rng = StdRng::seed_from_u64(0xBE57_0004);
+    for _ in 0..CASES {
+        let len = rng.gen_range(1..60);
+        // Unique weight ids (one offer per weight, as in a scan) with
+        // ranks drawn from a handful of values.
+        let mut stream: Vec<(usize, usize)> =
+            (0..len).map(|id| (rng.gen_range(0..4), id)).collect();
+        for k in [1, 3, len, len + 1] {
+            let run = |offers: &[(usize, usize)]| {
+                let mut heap = KBestHeap::new(k);
+                for &(rank, id) in offers {
+                    heap.offer(rank, WeightId(id));
+                }
+                heap.into_result()
+            };
+            let want = run(&stream);
+            for _ in 0..8 {
+                // Fisher–Yates shuffle.
+                for i in (1..stream.len()).rev() {
+                    stream.swap(i, rng.gen_range(0..i + 1));
+                }
+                assert_eq!(run(&stream), want, "k {k} offers {stream:?}");
+            }
+        }
+    }
+}

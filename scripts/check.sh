@@ -165,7 +165,9 @@ echo "    artifact round-trip ok; stale/corrupt/truncated all rejected"
 # (b) Serving: two same-seed indexed fig10 runs must produce
 #     bit-identical counters (benchdiff's default exact threshold), and
 #     against the plain run the index must cut GIR's RTK refine work by
-#     at least 5x while booking every short-circuit in threshold_hits.
+#     at least 5x while booking every short-circuit in threshold_hits,
+#     and GIR's RKR multiplications by at least 3x. The RKR cut comes
+#     from visiting weights in rank-floor order; id order reaches ~2x.
 th_a="$th_dir/a"; th_b="$th_dir/b"; th_plain="$th_dir/plain"
 mkdir -p "$th_a" "$th_b" "$th_plain"
 (cd "$th_plain" && "$OLDPWD/target/release/rrq-exp" fig10 --smoke >/dev/null)
@@ -175,19 +177,27 @@ mkdir -p "$th_a" "$th_b" "$th_plain"
   "$th_a/BENCH_fig10.json" "$th_b/BENCH_fig10.json" \
   --max-latency-pct inf --max-mem-pct inf >/dev/null
 echo "    indexed self-diff clean (exact counters)"
-gir_refined() { # sums the W-scan refine counter over GIR rtk runs
-  awk '/"algorithm":/ { alg = $2 } /"query_kind":/ { kind = $2 }
-       /"refined":/ { if (alg ~ /"GIR/ && kind ~ /rtk/) sum += $2 + 0 }
-       END { print sum + 0 }' "$1"
+gir_counter() { # FILE COUNTER KIND: sums COUNTER over the GIR runs of query kind KIND
+  awk -v counter="\"$2\":" -v kind="\"$3\"" \
+    '/"algorithm":/ { alg = $2 } /"query_kind":/ { q = $2 }
+     $1 == counter { if (alg ~ /"GIR/ && index(q, kind) == 1) sum += $2 + 0 }
+     END { print sum + 0 }' "$1"
 }
-plain_refined=$(gir_refined "$th_plain/BENCH_fig10.json")
-indexed_refined=$(gir_refined "$th_a/BENCH_fig10.json")
+plain_refined=$(gir_counter "$th_plain/BENCH_fig10.json" refined rtk)
+indexed_refined=$(gir_counter "$th_a/BENCH_fig10.json" refined rtk)
 hits=$(awk '/"threshold_hits":/ { sum += $2 + 0 } END { print sum + 0 }' "$th_a/BENCH_fig10.json")
 if [ "$plain_refined" -le 0 ] || [ "$plain_refined" -lt $(( 5 * indexed_refined )) ] || [ "$hits" -le 0 ]; then
   echo "error: threshold index win too small: RTK refined $plain_refined -> $indexed_refined, threshold_hits $hits" >&2
   exit 1
 fi
 echo "    GIR rtk refined pairs: $plain_refined -> $indexed_refined (>= 5x cut), $hits threshold hits"
+plain_mults=$(gir_counter "$th_plain/BENCH_fig10.json" multiplications rkr)
+indexed_mults=$(gir_counter "$th_a/BENCH_fig10.json" multiplications rkr)
+if [ "$plain_mults" -le 0 ] || [ "$plain_mults" -lt $(( 3 * indexed_mults )) ]; then
+  echo "error: threshold index RKR win too small: multiplications $plain_mults -> $indexed_mults (need >= 3x)" >&2
+  exit 1
+fi
+echo "    GIR rkr multiplications: $plain_mults -> $indexed_mults (>= 3x cut)"
 
 echo "==> update trace smoke (mutable engine vs rebuild, same seed twice)"
 # The update trace is a pure function of its seed. The runner itself
