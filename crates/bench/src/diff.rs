@@ -229,6 +229,18 @@ fn diff_run(base: &AlgoMetrics, cur: &AlgoMetrics, ordinal: usize, th: &Threshol
             }
         }
     }
+    // A counter the baseline never recorded would stay ungated for good,
+    // so it fails until the baseline is refreshed. `alloc_*` and
+    // `sched_*` stay informational: exporters gain them optionally.
+    if th.counter_pct.is_finite() {
+        for (name, cval) in &cur.counters {
+            if classify(name) == MetricClass::Counter && base.counter(name).is_none() {
+                notes.push(format!(
+                    "counter {name} = {cval} is missing from the baseline — refresh it"
+                ));
+            }
+        }
+    }
     if let (Some(b), Some(c)) = (&base.latency, &cur.latency) {
         for (name, bv, cv) in [
             ("latency_p50", b.p50_ns, c.p50_ns),
@@ -659,6 +671,29 @@ mod tests {
             !report.has_regressions(),
             "alloc-track off in current run must not fail counter gate"
         );
+    }
+
+    #[test]
+    fn counter_missing_from_the_baseline_fails() {
+        let mut base = sample_metrics();
+        base.runs[0]
+            .counters
+            .retain(|(k, _)| k != "leaf_accesses" && k != "alloc_peak_bytes");
+        let mut cur = sample_metrics();
+        cur.runs[0]
+            .counters
+            .push(("sched_achieved_qps_milli".into(), 198_000));
+        let report = DiffReport::build(&[(base.clone(), cur.clone())], &Thresholds::default());
+        assert!(report.has_regressions(), "{}", report.to_markdown());
+        let notes = &report.experiments[0].runs[0].notes;
+        assert_eq!(notes.len(), 1, "{notes:?}");
+        assert!(notes[0].contains("leaf_accesses"), "{notes:?}");
+        // An informational counter gate does not fail on it either.
+        let relaxed = Thresholds {
+            counter_pct: f64::INFINITY,
+            ..Thresholds::default()
+        };
+        assert!(!DiffReport::build(&[(base, cur)], &relaxed).has_regressions());
     }
 
     #[test]

@@ -45,6 +45,42 @@ impl ApproxVectors {
         v.iter().map(|&x| grid.point_cell(x)).collect()
     }
 
+    /// An empty collection of `dim`-dimensional rows.
+    pub(crate) fn empty(dim: usize) -> Self {
+        Self {
+            dim,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Appends point `v`, quantised with `grid`'s point partitions.
+    pub(crate) fn push_point<G: GridTable>(&mut self, grid: &G, v: &[f64]) {
+        self.cells.extend(v.iter().map(|&x| grid.point_cell(x)));
+    }
+
+    /// `Σ row[k]` per row: the per-point constant of the blocked scan's
+    /// integer-domain upper-bound sum.
+    pub(crate) fn row_sums(&self) -> Vec<u32> {
+        self.iter()
+            .map(|row| row.iter().map(|&c| c as u32).sum())
+            .collect()
+    }
+
+    /// Dimension-major copy, `cols[k · len + i] = row_i[k]`: the blocked
+    /// scan's multiply-accumulate reads 64 contiguous cells per dimension
+    /// and multiplies them by one broadcast weight cell, which vectorises
+    /// — the row-major layout cannot.
+    pub(crate) fn columns(&self) -> Vec<u8> {
+        let n = self.len();
+        let mut cols = vec![0u8; self.cells.len()];
+        for (i, row) in self.iter().enumerate() {
+            for (k, &c) in row.iter().enumerate() {
+                cols[k * n + i] = c;
+            }
+        }
+        cols
+    }
+
     /// Number of vectors.
     #[inline]
     pub fn len(&self) -> usize {

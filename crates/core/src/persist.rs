@@ -11,27 +11,33 @@
 //! itself is recomputed in microseconds).
 //!
 //! Every artifact carries a magic tag, a format version, and an
-//! FNV-1a-64 checksum of its payload, and the reader requires the file
-//! length to match the header *exactly*. A truncated, trailing-garbage
+//! FNV-1a-64 checksum, and the reader requires the file length to match
+//! the header *exactly*. Header values are range-checked with checked
+//! arithmetic before they size anything. A truncated, trailing-garbage
 //! or bit-flipped file is rejected with a typed [`RrqError`] variant
 //! (`ArtifactBadMagic`, `ArtifactBadVersion`, `ArtifactTruncated`,
-//! `ArtifactChecksum`) instead of being silently misread.
+//! `ArtifactChecksum`, `InvalidParameter`) instead of being silently
+//! misread or panicking the reader.
 //!
-//! Approximate-vector file (`RRQA`, version 2):
+//! Approximate-vector file (`RRQA`, version 3):
 //!
 //! ```text
 //! magic    (4 bytes)  "RRQA"
-//! version  (u16 LE)   2
+//! version  (u16 LE)   3
 //! dim      (u32 LE)
 //! rows     (u64 LE)
-//! bits     (u8)
-//! n        (u16 LE)   grid partitions
-//! p_range  (f64 LE)
-//! w_range  (f64 LE)
+//! bits     (u8)       1..=8
+//! n        (u16 LE)   grid partitions, 2..=255
+//! p_range  (f64 LE)   finite, > 0
+//! w_range  (f64 LE)   finite, > 0
 //! words    (u64 LE)   number of 64-bit payload words
-//! checksum (u64 LE)   FNV-1a-64 of the payload bytes
+//! checksum (u64 LE)   FNV-1a-64 of every header byte before it, then
+//!                     of the payload bytes
 //! payload  (words × u64 LE)
 //! ```
+//!
+//! Version 3 extended the checksum over the header: under version 2 a
+//! flipped partition count or value range read back as a valid file.
 //!
 //! Threshold-index file (`RRQT`, version 2):
 //!
@@ -57,12 +63,12 @@
 
 use crate::approx::{ApproxVectors, PackedApproxVectors};
 use crate::grid::Grid;
-use crate::threshold::{fnv1a64, ThresholdIndex};
+use crate::threshold::{fnv1a64, Fnv1a64, ThresholdIndex};
 use rrq_types::{RrqError, RrqResult};
 use std::path::Path;
 
 const APPROX_MAGIC: &[u8; 4] = b"RRQA";
-const APPROX_VERSION: u16 = 2;
+const APPROX_VERSION: u16 = 3;
 /// Fixed byte size of the RRQA header, everything before the payload.
 const APPROX_HEADER: usize = 4 + 2 + 4 + 8 + 1 + 2 + 8 + 8 + 8 + 8;
 
@@ -130,21 +136,22 @@ impl<'a> ArtifactCursor<'a> {
     }
 }
 
-/// Reads the whole file, checks magic and version, and verifies the
-/// byte length matches the header-declared payload size exactly —
-/// short files *and* trailing garbage are both truncation-class
-/// corruption. Returns the validated image.
-fn read_artifact(
-    path: &Path,
+fn read_file(path: &Path) -> RrqResult<Vec<u8>> {
+    std::fs::read(path).map_err(|e| RrqError::ArtifactIo {
+        op: "read",
+        message: e.to_string(),
+    })
+}
+
+/// Checks an artifact image's magic and version and returns a cursor
+/// just past them.
+fn open_artifact<'a>(
+    bytes: &'a [u8],
     magic: &[u8; 4],
     magic_name: &'static str,
     version: u16,
-) -> RrqResult<Vec<u8>> {
-    let bytes = std::fs::read(path).map_err(|e| RrqError::ArtifactIo {
-        op: "read",
-        message: e.to_string(),
-    })?;
-    let mut cur = ArtifactCursor::new(&bytes);
+) -> RrqResult<ArtifactCursor<'a>> {
+    let mut cur = ArtifactCursor::new(bytes);
     if cur.take(4)? != magic {
         return Err(RrqError::ArtifactBadMagic {
             expected: magic_name,
@@ -157,12 +164,11 @@ fn read_artifact(
             actual: actual_version,
         });
     }
-    Ok(bytes)
+    Ok(cur)
 }
 
-/// Verifies the payload's FNV-1a-64 checksum against the header value.
-fn check_payload(payload: &[u8], recorded: u64) -> RrqResult<()> {
-    let actual = fnv1a64(payload);
+/// Compares a computed FNV-1a-64 checksum with the header value.
+fn check_checksum(actual: u64, recorded: u64) -> RrqResult<()> {
     if actual != recorded {
         return Err(RrqError::ArtifactChecksum {
             expected: recorded,
@@ -170,6 +176,13 @@ fn check_payload(payload: &[u8], recorded: u64) -> RrqResult<()> {
         });
     }
     Ok(())
+}
+
+fn header_error(message: &str) -> RrqError {
+    RrqError::InvalidParameter {
+        name: "header",
+        message: message.to_string(),
+    }
 }
 
 /// Checks the file length equals the header-declared total exactly.
@@ -198,12 +211,9 @@ pub struct ApproxFile {
 }
 
 impl ApproxFile {
-    /// Rebuilds the corner table this file was quantised with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stored geometry is invalid (corrupted file that
-    /// passed structural checks).
+    /// Rebuilds the corner table this file was quantised with. The
+    /// reader has validated the geometry, so this cannot panic on a file
+    /// [`read_approx`] accepted.
     pub fn rebuild_grid(&self) -> Grid {
         Grid::with_ranges(self.partitions, self.point_range, self.weight_range)
     }
@@ -235,7 +245,10 @@ pub fn write_approx(path: &Path, vectors: &PackedApproxVectors, grid: &Grid) -> 
     image.extend_from_slice(&grid.point_range().to_le_bytes());
     image.extend_from_slice(&grid.weight_range().to_le_bytes());
     image.extend_from_slice(&(words.len() as u64).to_le_bytes());
-    image.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    let mut checksum = Fnv1a64::new();
+    checksum.update(&image);
+    checksum.update(&payload);
+    image.extend_from_slice(&checksum.finish().to_le_bytes());
     image.extend_from_slice(&payload);
     std::fs::write(path, image).map_err(write_error)
 }
@@ -250,9 +263,11 @@ pub fn write_approx(path: &Path, vectors: &PackedApproxVectors, grid: &Grid) -> 
 /// a corrupted file; [`RrqError::InvalidParameter`] when the header is
 /// internally inconsistent.
 pub fn read_approx(path: &Path) -> RrqResult<ApproxFile> {
-    let bytes = read_artifact(path, APPROX_MAGIC, "RRQA", APPROX_VERSION)?;
-    let mut cur = ArtifactCursor::new(&bytes);
-    let _ = cur.take(4 + 2)?; // magic + version, validated above
+    decode_approx(&read_file(path)?)
+}
+
+fn decode_approx(bytes: &[u8]) -> RrqResult<ApproxFile> {
+    let mut cur = open_artifact(bytes, APPROX_MAGIC, "RRQA", APPROX_VERSION)?;
     let dim = cur.u32()? as usize;
     let rows = cur.u64()? as usize;
     let bits = cur.u8()? as u32;
@@ -261,16 +276,27 @@ pub fn read_approx(path: &Path) -> RrqResult<ApproxFile> {
     let weight_range = cur.f64()?;
     let n_words = cur.u64()? as usize;
     let checksum = cur.u64()?;
-    let expected_words = ((rows * dim) as u64 * bits as u64).div_ceil(64) as usize;
-    if n_words != expected_words || !(1..=8).contains(&bits) || partitions < 2 {
-        return Err(RrqError::InvalidParameter {
-            name: "header",
-            message: "inconsistent approx-file header".to_string(),
-        });
+    let expected_words = rows
+        .checked_mul(dim)
+        .and_then(|cells| cells.checked_mul(bits as usize))
+        .map(|total_bits| total_bits.div_ceil(64));
+    let positive = |r: f64| r.is_finite() && r > 0.0;
+    if expected_words != Some(n_words)
+        || !(1..=8).contains(&bits)
+        || !(2..=255).contains(&partitions)
+        || !positive(point_range)
+        || !positive(weight_range)
+    {
+        return Err(header_error("inconsistent approx-file header"));
     }
-    check_exact_len(&bytes, APPROX_HEADER + n_words * 8)?;
+    // `n_words` is at most usize::MAX / 64 here, so the length cannot
+    // overflow.
+    check_exact_len(bytes, APPROX_HEADER + n_words * 8)?;
     let payload = &bytes[APPROX_HEADER..];
-    check_payload(payload, checksum)?;
+    let mut actual = Fnv1a64::new();
+    actual.update(&bytes[..APPROX_HEADER - 8]);
+    actual.update(payload);
+    check_checksum(actual.finish(), checksum)?;
     let mut cur = ArtifactCursor::new(payload);
     let mut words = vec![0u64; n_words];
     for w in &mut words {
@@ -328,9 +354,11 @@ pub fn write_threshold(path: &Path, index: &ThresholdIndex) -> RrqResult<()> {
 /// a corrupted file; [`RrqError::InvalidParameter`] when the decoded
 /// table violates the index's structural invariants.
 pub fn read_threshold(path: &Path) -> RrqResult<ThresholdIndex> {
-    let bytes = read_artifact(path, THRESHOLD_MAGIC, "RRQT", THRESHOLD_VERSION)?;
-    let mut cur = ArtifactCursor::new(&bytes);
-    let _ = cur.take(4 + 2)?; // magic + version, validated above
+    decode_threshold(&read_file(path)?)
+}
+
+fn decode_threshold(bytes: &[u8]) -> RrqResult<ThresholdIndex> {
+    let mut cur = open_artifact(bytes, THRESHOLD_MAGIC, "RRQT", THRESHOLD_VERSION)?;
     let dims = cur.u32()? as usize;
     let n_points = cur.u64()? as usize;
     let n_weights = cur.u64()? as usize;
@@ -340,20 +368,15 @@ pub fn read_threshold(path: &Path) -> RrqResult<ThresholdIndex> {
     let checksum = cur.u64()?;
     let n_scores = n_buckets
         .checked_mul(n_weights)
-        .ok_or_else(|| RrqError::InvalidParameter {
-            name: "header",
-            message: "threshold-index table size overflows".to_string(),
-        })?;
-    let payload_len =
-        (n_buckets + n_scores)
-            .checked_mul(8)
-            .ok_or_else(|| RrqError::InvalidParameter {
-                name: "header",
-                message: "threshold-index payload size overflows".to_string(),
-            })?;
-    check_exact_len(&bytes, THRESHOLD_HEADER + payload_len)?;
+        .ok_or_else(|| header_error("threshold-index table size overflows"))?;
+    let file_len = n_scores
+        .checked_add(n_buckets)
+        .and_then(|words| words.checked_mul(8))
+        .and_then(|payload| payload.checked_add(THRESHOLD_HEADER))
+        .ok_or_else(|| header_error("threshold-index payload size overflows"))?;
+    check_exact_len(bytes, file_len)?;
     let payload = &bytes[THRESHOLD_HEADER..];
-    check_payload(payload, checksum)?;
+    check_checksum(fnv1a64(payload), checksum)?;
     let mut cur = ArtifactCursor::new(payload);
     let mut buckets = Vec::with_capacity(n_buckets);
     for _ in 0..n_buckets {
@@ -450,7 +473,7 @@ mod tests {
         assert!(matches!(
             read_approx(&path),
             Err(RrqError::ArtifactBadVersion {
-                expected: 2,
+                expected: 3,
                 actual: 9
             })
         ));
@@ -608,5 +631,65 @@ mod tests {
             Err(RrqError::ArtifactChecksum { .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Every single-byte corruption of `good` (XOR 0x01, 0x80 and 0xFF
+    /// at each offset) and every truncation must be refused with a typed
+    /// error: never a panic, and never `Ok` unless `served` then refuses
+    /// the decoded value.
+    fn assert_every_corruption_refused<T>(
+        good: &[u8],
+        decode: fn(&[u8]) -> RrqResult<T>,
+        served: impl Fn(T) -> bool,
+    ) {
+        let mut cases = Vec::new();
+        for i in 0..good.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bytes = good.to_vec();
+                bytes[i] ^= mask;
+                cases.push((format!("byte {i} ^ {mask:#04x}"), bytes));
+            }
+        }
+        for len in 0..good.len() {
+            cases.push((format!("truncated to {len} bytes"), good[..len].to_vec()));
+        }
+        for (label, bytes) in cases {
+            match std::panic::catch_unwind(|| decode(&bytes)) {
+                Err(_) => panic!("{label}: the reader panicked"),
+                Ok(Ok(value)) => assert!(!served(value), "{label}: accepted"),
+                Ok(Err(_)) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_and_truncation_is_refused() {
+        let grid = Grid::with_ranges(32, 10_000.0, 0.8);
+        let ps = synthetic::uniform_points(3, 20, 10_000.0, 5).unwrap();
+        let packed = PackedApproxVectors::pack(&ApproxVectors::from_points(&grid, &ps), 5);
+        let path = tmp("flips.rrqa");
+        write_approx(&path, &packed, &grid).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(decode_approx(&good).unwrap().vectors, packed);
+        assert_every_corruption_refused(&good, decode_approx, |file| {
+            file.rebuild_grid();
+            true
+        });
+
+        let p = synthetic::uniform_points(3, 20, 10_000.0, 6).unwrap();
+        let w = synthetic::uniform_weights(3, 5, 7).unwrap();
+        let idx = ThresholdIndex::build(&p, &w, &[1, 5, 20]).unwrap();
+        let path = tmp("flips.rrqt");
+        write_threshold(&path, &idx).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(decode_threshold(&good).unwrap(), idx);
+        // A header flip the checksum does not cover (shape, epoch,
+        // fingerprint) may read back; attaching must then refuse it.
+        assert_every_corruption_refused(&good, decode_threshold, |idx| {
+            let mut gir = crate::Gir::with_defaults(&p, &w);
+            gir.attach_threshold_index(idx).is_ok()
+        });
     }
 }

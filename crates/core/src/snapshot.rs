@@ -31,7 +31,7 @@
 //! results.
 
 use crate::approx::ApproxVectors;
-use crate::gir::{Gir, GirConfig};
+use crate::gir::{Gir, GirConfig, Lanes};
 use crate::grid::Grid;
 use crate::threshold::{epoch_fingerprint, ThresholdIndex};
 use rrq_types::{PointId, PointSet, QueryStats, RrqError, RrqResult, WeightId, WeightSet};
@@ -69,18 +69,7 @@ impl BaseData {
         validate_weight_components(weights.as_flat())?;
         let grid = Grid::with_ranges(config.partitions, points.value_range(), 1.0);
         let p_approx = ApproxVectors::from_points(&grid, &points);
-        let p_cell_sums: Vec<u32> = p_approx
-            .iter()
-            .map(|row| row.iter().map(|&c| c as u32).sum())
-            .collect();
-        let n_points = points.len();
-        let dim = points.dim();
-        let mut p_cols = vec![0u8; n_points * dim];
-        for (id, row) in p_approx.iter().enumerate() {
-            for (k, &c) in row.iter().enumerate() {
-                p_cols[k * n_points + id] = c;
-            }
-        }
+        let (p_cell_sums, p_cols) = (p_approx.row_sums(), p_approx.columns());
         let w_approx = ApproxVectors::from_weights(&grid, &weights);
         Ok(Self {
             points,
@@ -174,10 +163,6 @@ impl TombSet {
     fn count(&self) -> usize {
         self.count
     }
-
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
 }
 
 /// The mutation overlay of one epoch: tombstones over the combined id
@@ -189,7 +174,12 @@ pub struct DeltaIndex {
     weight_tombs: TombSet,
     appended_points: PointSet,
     /// Row-major quantised cells of the appended points.
-    ap_cells: Vec<u8>,
+    ap_cells: ApproxVectors,
+    /// The same cells in the blocked scan's column-major layout, one
+    /// zero-padded chunk of `64 · d` cells per 64 appended points:
+    /// dimension `k` of point `b + lane` (`b` a multiple of 64) sits at
+    /// `b · d + k · 64 + lane`.
+    ap_cols: Vec<u8>,
     ap_cell_sums: Vec<u32>,
     appended_weights: WeightSet,
     aw_cells: Vec<u8>,
@@ -201,18 +191,32 @@ impl DeltaIndex {
             point_tombs: TombSet::default(),
             weight_tombs: TombSet::default(),
             appended_points: PointSet::new(dim, value_range)?,
-            ap_cells: Vec::new(),
+            ap_cells: ApproxVectors::empty(dim),
+            ap_cols: Vec::new(),
             ap_cell_sums: Vec::new(),
             appended_weights: WeightSet::new(dim)?,
             aw_cells: Vec::new(),
         })
     }
 
-    /// Whether the point side is untouched (append tail empty, no point
-    /// tombstones) — the gate that keeps the blocked fast scan usable
-    /// under weight-only deltas.
-    pub(crate) fn points_unchanged(&self) -> bool {
-        self.point_tombs.is_empty() && self.appended_points.is_empty()
+    /// The point tombstones as bitmap words (bit `id & 63` of word
+    /// `id >> 6`); words past the end are zero.
+    pub(crate) fn point_tomb_words(&self) -> &[u64] {
+        &self.point_tombs.words
+    }
+
+    /// The append tail as a run of scan lanes whose ids start at `first`.
+    pub(crate) fn tail_lanes(&self, first: usize) -> Lanes<'_, ApproxVectors> {
+        Lanes {
+            first,
+            cols: &self.ap_cols,
+            block_stride: self.appended_points.dim(),
+            dim_stride: 64,
+            sums: &self.ap_cell_sums,
+            rows: &self.ap_cells,
+            points: &self.appended_points,
+            tail: true,
+        }
     }
 
     pub(crate) fn point_tombstoned(&self, id: usize) -> bool {
@@ -235,15 +239,6 @@ impl DeltaIndex {
         self.appended_points.point(PointId(j))
     }
 
-    pub(crate) fn appended_point_cells(&self, j: usize) -> &[u8] {
-        let d = self.appended_points.dim();
-        &self.ap_cells[j * d..(j + 1) * d]
-    }
-
-    pub(crate) fn appended_point_cell_sum(&self, j: usize) -> u32 {
-        self.ap_cell_sums[j]
-    }
-
     pub(crate) fn appended_weight(&self, j: usize) -> &[f64] {
         self.appended_weights.weight(WeightId(j))
     }
@@ -255,13 +250,21 @@ impl DeltaIndex {
 
     fn push_point(&mut self, grid: &Grid, row: &[f64]) -> RrqResult<()> {
         self.appended_points.push_slice(row)?;
-        let mut sum = 0u32;
-        for &v in row {
-            let c = grid.point_cell(v);
-            self.ap_cells.push(c);
-            sum += c as u32;
+        let j = self.ap_cells.len();
+        self.ap_cells.push_point(grid, row);
+        let cells = self.ap_cells.row(j);
+        let d = cells.len();
+        // Point `j` is lane `j % 64` of the block starting at tail index
+        // `b`; `tail_lanes` declares the strides `Lanes::column` reads.
+        let (b, lane) = (j / 64 * 64, j % 64);
+        if lane == 0 {
+            self.ap_cols.resize(self.ap_cols.len() + 64 * d, 0);
         }
-        self.ap_cell_sums.push(sum);
+        for (k, &c) in cells.iter().enumerate() {
+            self.ap_cols[b * d + k * 64 + lane] = c;
+        }
+        self.ap_cell_sums
+            .push(cells.iter().map(|&c| c as u32).sum());
         Ok(())
     }
 

@@ -178,7 +178,8 @@ fn run_plain<F: Fn(usize) -> u64>(
 }
 
 /// Explained run of the same query: reconciles the funnel against the
-/// run's own counters and returns the ext-mapped result sets.
+/// run's own counters and returns the ext-mapped result sets, plus the
+/// stats of the RTK and RKR runs together.
 fn run_explained<F: Fn(usize) -> u64>(
     gir: &Gir<'_, impl rrq_core::grid::GridTable + Sync>,
     engine: Engine,
@@ -186,9 +187,10 @@ fn run_explained<F: Fn(usize) -> u64>(
     k: usize,
     ext_of: F,
     label: &str,
-) -> (Vec<u64>, Vec<(u64, usize)>) {
+) -> (Vec<u64>, Vec<(u64, usize)>, QueryStats) {
     let mut rtk_out = Vec::new();
     let mut rkr_out = Vec::new();
+    let mut total = QueryStats::default();
     for rtk in [true, false] {
         let mut stats = QueryStats::default();
         let mut doc = ExplainDoc::new();
@@ -225,6 +227,7 @@ fn run_explained<F: Fn(usize) -> u64>(
         doc.funnel
             .reconcile(&stats.counters())
             .unwrap_or_else(|e| panic!("{label} {engine:?} funnel: {e}"));
+        total.merge(&stats);
         if rtk {
             rtk_out = doc
                 .results
@@ -239,7 +242,7 @@ fn run_explained<F: Fn(usize) -> u64>(
                 .collect();
         }
     }
-    (rtk_out, rkr_out)
+    (rtk_out, rkr_out, total)
 }
 
 /// The repaired threshold table of `state` equals `ThresholdIndex::build`
@@ -330,25 +333,34 @@ fn assert_query_point(
     let (want_rtk, want_rkr, _) = run_plain(&oracle, Engine::Seq, q, k, |wid| ow_ext[wid]);
 
     for engine in ENGINES {
-        let (got_rtk, got_rkr, _) =
+        let (got_rtk, got_rkr, plain_stats) =
             run_plain(&view, engine, q, k, |wid| state.weight_external(wid));
         assert_eq!(got_rtk, want_rtk, "{label} {engine:?}: rtk vs rebuild");
         assert_eq!(got_rkr, want_rkr, "{label} {engine:?}: rkr vs rebuild");
 
         // Oracle under the same engine must agree with oracle-seq too
         // (per-engine determinism of the rebuilt index).
-        let (o_rtk, o_rkr, _) = run_plain(&oracle, engine, q, k, |wid| ow_ext[wid]);
+        let (o_rtk, o_rkr, o_stats) = run_plain(&oracle, engine, q, k, |wid| ow_ext[wid]);
         assert_eq!(o_rtk, want_rtk, "{label} {engine:?}: oracle engines differ");
         assert_eq!(o_rkr, want_rkr, "{label} {engine:?}: oracle engines differ");
 
         // Explained runs: identical results, exactly reconciled funnel —
         // on the mutable view (tombstone/append mirrors included) and on
-        // the rebuild.
-        let (e_rtk, e_rkr) =
+        // the rebuild. Explain only observes the scan, so wherever the
+        // counters are deterministic (all but shared-bound mode, whose
+        // pruning depends on thread timing) they equal the plain run's.
+        let (e_rtk, e_rkr, e_stats) =
             run_explained(&view, engine, q, k, |wid| state.weight_external(wid), label);
         assert_eq!(e_rtk, want_rtk, "{label} {engine:?}: explained rtk");
         assert_eq!(e_rkr, want_rkr, "{label} {engine:?}: explained rkr");
-        let _ = run_explained(&oracle, engine, q, k, |wid| ow_ext[wid], label);
+        let (_, _, oe_stats) = run_explained(&oracle, engine, q, k, |wid| ow_ext[wid], label);
+        if !matches!(engine, Engine::Par(BoundMode::Shared)) {
+            assert_eq!(e_stats, plain_stats, "{label} {engine:?}: explained stats");
+            assert_eq!(
+                oe_stats, o_stats,
+                "{label} {engine:?}: oracle explained stats"
+            );
+        }
     }
 }
 

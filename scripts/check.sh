@@ -50,6 +50,13 @@ else
   echo "    skipped (no nightly Miri toolchain installed)"
 fi
 
+echo "==> perf gate (counters vs the committed bench/baselines/)"
+# Every other benchdiff step below diffs a binary against itself; this
+# one compares fresh runs with the committed baselines, the only check
+# that a change still books every counter as the reviewed code did.
+./scripts/bench_gate.sh >/dev/null
+echo "    counters exact on all six tiers"
+
 echo "==> rrq-benchdiff smoke (tiny dataset, self vs self must be clean)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
