@@ -218,10 +218,11 @@ pub fn run(cfg: &ExpConfig, mc: &MutateConfig) -> Result<MutateReport, String> {
     };
     let mut engine =
         DynamicEngine::new(p0.clone(), w0.clone(), gcfg).map_err(|e| format!("engine: {e:?}"))?;
-    // The threshold buckets exercise incremental column repair at every
-    // publish; sorted strictly ascending as the index requires.
-    let mut buckets = vec![1usize, cfg.k.max(2), cfg.k.max(2) * 8];
-    buckets.dedup();
+    // The serving ladder real callers use: the rungs up to `k` stay
+    // exact, and above a `k` that is not a power of two the rungs are
+    // count-tracked floor rungs, so the gate pins both halves of the
+    // publish's threshold upkeep.
+    let buckets = ThresholdIndex::default_buckets(&[cfg.k], cfg.p_card);
     engine
         .enable_threshold_index(&buckets)
         .map_err(|e| format!("threshold enable: {e:?}"))?;

@@ -1048,7 +1048,7 @@ impl<G: GridTable> Gir<'_, G> {
                 // means the bounded scan would return `None`: skip it.
                 // The heap never sees the weight either way, so results
                 // and bound evolution are untouched.
-                if ti.floor_rung(slot) > bound {
+                if ti.slot_floor(wid, slot) > bound {
                     stats.threshold_hits += 1;
                     if sink.enabled() {
                         sink.threshold_hit(wid as u64, false);

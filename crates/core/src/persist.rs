@@ -39,11 +39,11 @@
 //! Version 3 extended the checksum over the header: under version 2 a
 //! flipped partition count or value range read back as a valid file.
 //!
-//! Threshold-index file (`RRQT`, version 2):
+//! Threshold-index file (`RRQT`, version 3):
 //!
 //! ```text
 //! magic       (4 bytes)  "RRQT"
-//! version     (u16 LE)   2
+//! version     (u16 LE)   3
 //! dims        (u32 LE)
 //! n_points    (u64 LE)
 //! n_weights   (u64 LE)
@@ -51,19 +51,28 @@
 //! epoch       (u64 LE)   mutable-engine epoch the table was stamped at
 //!                        (0 for a static build)
 //! fingerprint (u64 LE)   FNV-1a-64 of the (P, W, epoch) it was built from
-//! checksum    (u64 LE)   FNV-1a-64 of the payload bytes
+//! n_exact     (u64 LE)   exact rungs, 1..=n_buckets; the rest are
+//!                        floor rungs
+//! checksum    (u64 LE)   FNV-1a-64 of the n_exact bytes, then of the
+//!                        payload bytes
 //! payload     buckets (n_buckets × u64 LE)
-//!             then scores (n_buckets · n_weights × f64 LE)
+//!             then exact scores (n_exact · n_weights × f64 LE)
+//!             then floor scores ((n_buckets − n_exact) · n_weights × f32 LE)
+//!             then floor counts ((n_buckets − n_exact) · n_weights × u32 LE)
 //! ```
 //!
-//! Version 2 added the epoch field; version-1 files are rejected with
-//! [`RrqError::ArtifactBadVersion`] rather than being read with an
-//! assumed epoch — an artifact that cannot prove which data version it
-//! describes is stale by definition.
+//! Version 2 added the epoch field; version 3 records the split between
+//! exact and floor rungs of a mutable engine's table. The checksum
+//! covers `n_exact` because it alone decides how the payload is read
+//! without changing the file length; a flip in any other header field
+//! changes the length or fails the attach-time staleness check. Older
+//! versions are rejected with [`RrqError::ArtifactBadVersion`] rather
+//! than read with an assumed epoch or split — an artifact that cannot
+//! prove which data version it describes is stale by definition.
 
 use crate::approx::{ApproxVectors, PackedApproxVectors};
 use crate::grid::Grid;
-use crate::threshold::{fnv1a64, Fnv1a64, ThresholdIndex};
+use crate::threshold::{Fnv1a64, ThresholdIndex};
 use rrq_types::{RrqError, RrqResult};
 use std::path::Path;
 
@@ -73,9 +82,9 @@ const APPROX_VERSION: u16 = 3;
 const APPROX_HEADER: usize = 4 + 2 + 4 + 8 + 1 + 2 + 8 + 8 + 8 + 8;
 
 const THRESHOLD_MAGIC: &[u8; 4] = b"RRQT";
-const THRESHOLD_VERSION: u16 = 2;
+const THRESHOLD_VERSION: u16 = 3;
 /// Fixed byte size of the RRQT header, everything before the payload.
-const THRESHOLD_HEADER: usize = 4 + 2 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
+const THRESHOLD_HEADER: usize = 4 + 2 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8;
 
 fn write_error(e: std::io::Error) -> RrqError {
     RrqError::ArtifactIo {
@@ -133,6 +142,10 @@ impl<'a> ArtifactCursor<'a> {
 
     fn f64(&mut self) -> RrqResult<f64> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    fn f32(&mut self) -> RrqResult<f32> {
+        Ok(f32::from_bits(self.u32()?))
     }
 }
 
@@ -318,12 +331,21 @@ fn decode_approx(bytes: &[u8]) -> RrqResult<ApproxFile> {
 pub fn write_threshold(path: &Path, index: &ThresholdIndex) -> RrqResult<()> {
     let buckets = index.buckets();
     let scores = index.scores();
-    let mut payload = Vec::with_capacity((buckets.len() + scores.len()) * 8);
+    let (floor_scores, floor_counts) = (index.floor_scores(), index.floor_counts());
+    let mut payload = Vec::with_capacity(
+        (buckets.len() + scores.len()) * 8 + (floor_scores.len() + floor_counts.len()) * 4,
+    );
     for &b in buckets {
         payload.extend_from_slice(&(b as u64).to_le_bytes());
     }
     for &s in scores {
         payload.extend_from_slice(&s.to_bits().to_le_bytes());
+    }
+    for &s in floor_scores {
+        payload.extend_from_slice(&s.to_bits().to_le_bytes());
+    }
+    for &c in floor_counts {
+        payload.extend_from_slice(&c.to_le_bytes());
     }
     let mut image = Vec::with_capacity(THRESHOLD_HEADER + payload.len());
     image.extend_from_slice(THRESHOLD_MAGIC);
@@ -334,7 +356,12 @@ pub fn write_threshold(path: &Path, index: &ThresholdIndex) -> RrqResult<()> {
     image.extend_from_slice(&(buckets.len() as u64).to_le_bytes());
     image.extend_from_slice(&index.epoch().to_le_bytes());
     image.extend_from_slice(&index.fingerprint().to_le_bytes());
-    image.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    let n_exact = (index.n_exact() as u64).to_le_bytes();
+    image.extend_from_slice(&n_exact);
+    let mut checksum = Fnv1a64::new();
+    checksum.update(&n_exact);
+    checksum.update(&payload);
+    image.extend_from_slice(&checksum.finish().to_le_bytes());
     image.extend_from_slice(&payload);
     std::fs::write(path, image).map_err(write_error)
 }
@@ -365,18 +392,33 @@ fn decode_threshold(bytes: &[u8]) -> RrqResult<ThresholdIndex> {
     let n_buckets = cur.u64()? as usize;
     let epoch = cur.u64()?;
     let fingerprint = cur.u64()?;
+    let n_exact = cur.u64()? as usize;
     let checksum = cur.u64()?;
-    let n_scores = n_buckets
-        .checked_mul(n_weights)
-        .ok_or_else(|| header_error("threshold-index table size overflows"))?;
+    if !(1..=n_buckets).contains(&n_exact) {
+        return Err(header_error(
+            "threshold-index exact rungs outside 1..=buckets",
+        ));
+    }
+    let section = |rungs: usize| {
+        rungs
+            .checked_mul(n_weights)
+            .ok_or_else(|| header_error("threshold-index table size overflows"))
+    };
+    let (n_scores, n_floor) = (section(n_exact)?, section(n_buckets - n_exact)?);
+    // Each floor entry is an f32 score and a u32 count: 8 bytes, like an
+    // exact score or a bucket.
     let file_len = n_scores
-        .checked_add(n_buckets)
+        .checked_add(n_floor)
+        .and_then(|entries| entries.checked_add(n_buckets))
         .and_then(|words| words.checked_mul(8))
         .and_then(|payload| payload.checked_add(THRESHOLD_HEADER))
         .ok_or_else(|| header_error("threshold-index payload size overflows"))?;
     check_exact_len(bytes, file_len)?;
     let payload = &bytes[THRESHOLD_HEADER..];
-    check_checksum(fnv1a64(payload), checksum)?;
+    let mut actual = Fnv1a64::new();
+    actual.update(&bytes[THRESHOLD_HEADER - 16..THRESHOLD_HEADER - 8]);
+    actual.update(payload);
+    check_checksum(actual.finish(), checksum)?;
     let mut cur = ArtifactCursor::new(payload);
     let mut buckets = Vec::with_capacity(n_buckets);
     for _ in 0..n_buckets {
@@ -386,12 +428,22 @@ fn decode_threshold(bytes: &[u8]) -> RrqResult<ThresholdIndex> {
     for _ in 0..n_scores {
         scores.push(cur.f64()?);
     }
+    let mut floor_scores = Vec::with_capacity(n_floor);
+    for _ in 0..n_floor {
+        floor_scores.push(cur.f32()?);
+    }
+    let mut floor_counts = Vec::with_capacity(n_floor);
+    for _ in 0..n_floor {
+        floor_counts.push(cur.u32()?);
+    }
     ThresholdIndex::from_parts(
         buckets,
+        n_exact,
         n_points,
         n_weights,
         dims,
         scores,
+        (floor_scores, floor_counts),
         fingerprint,
         epoch,
     )
@@ -580,11 +632,53 @@ mod tests {
         assert!(matches!(
             read_threshold(&path),
             Err(RrqError::ArtifactBadVersion {
-                expected: 2,
+                expected: 3,
                 actual: 7
             })
         ));
+        // A version-2 file has no exact-rung count: refused, not guessed.
+        let mut bytes = good.clone();
+        bytes[4] = 2;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_threshold(&path),
+            Err(RrqError::ArtifactBadVersion {
+                expected: 3,
+                actual: 2
+            })
+        ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A mutable engine's split table after a few publishes: exact rungs
+    /// up to the served k = 5, floor rungs above with moved counts.
+    fn split_threshold_engine(np: usize, nw: usize) -> crate::DynamicEngine {
+        let p = synthetic::uniform_points(3, np, 10_000.0, 8).unwrap();
+        let w = synthetic::uniform_weights(3, nw, 9).unwrap();
+        let mut engine = crate::DynamicEngine::new(p, w, crate::GirConfig::default()).unwrap();
+        engine
+            .enable_threshold_index(&ThresholdIndex::default_buckets(&[5], np))
+            .unwrap();
+        let mut stats = rrq_types::QueryStats::default();
+        for round in 0..3u64 {
+            engine.insert_point(&[9_000.0, 9_500.0, 8_000.0]).unwrap();
+            engine.delete_point(round * 2 + 1).unwrap();
+            engine.publish(&mut stats).unwrap();
+        }
+        engine
+    }
+
+    #[test]
+    fn split_threshold_round_trips_and_checks_against_its_engine() {
+        let engine = split_threshold_engine(40, 6);
+        let idx = engine.snapshot().threshold_index().unwrap().clone();
+        assert!(idx.n_exact() < idx.buckets().len(), "the table is split");
+        let path = tmp("thr_split.bin");
+        write_threshold(&path, &idx).unwrap();
+        let back = read_threshold(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back, idx);
+        engine.check_threshold_artifact(&back).unwrap();
     }
 
     #[test]
@@ -690,6 +784,21 @@ mod tests {
         assert_every_corruption_refused(&good, decode_threshold, |idx| {
             let mut gir = crate::Gir::with_defaults(&p, &w);
             gir.attach_threshold_index(idx).is_ok()
+        });
+
+        // A split table: a flipped exact-rung count would move the
+        // boundary between the f64 and the f32/u32 sections at the same
+        // file length, so the checksum covers it.
+        let engine = split_threshold_engine(20, 5);
+        let idx = engine.snapshot().threshold_index().unwrap().clone();
+        assert!(idx.n_exact() < idx.buckets().len(), "the table is split");
+        let path = tmp("flips_split.rrqt");
+        write_threshold(&path, &idx).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(decode_threshold(&good).unwrap(), idx);
+        assert_every_corruption_refused(&good, decode_threshold, |idx| {
+            engine.check_threshold_artifact(&idx).is_ok()
         });
     }
 }

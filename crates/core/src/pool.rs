@@ -48,8 +48,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A type-erased unit of work the pool's workers execute.
-type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
+/// A type-erased unit of work the pool's workers execute. It is handed
+/// the hook that books its completion (`finished`, and the worker's
+/// `per_worker` slot) and calls it exactly once, before it hands its
+/// result to anyone: whoever has seen a [`WorkerPool::run`] result then
+/// also sees its job booked.
+type Job<'env> = Box<dyn FnOnce(&dyn Fn()) + Send + 'env>;
 
 /// Locks a pool mutex. Pool mutexes are only held for counter updates
 /// and never across a job, so poisoning means a bug worth propagating.
@@ -187,10 +191,11 @@ fn worker_loop(idx: usize, rx: &Mutex<Receiver<Job<'_>>>, telemetry: &Mutex<Pool
         match job {
             Ok(job) => {
                 locked(telemetry).started += 1;
-                job();
-                let mut t = locked(telemetry);
-                t.finished += 1;
-                t.per_worker[idx] += 1;
+                job(&|| {
+                    let mut t = locked(telemetry);
+                    t.finished += 1;
+                    t.per_worker[idx] += 1;
+                });
             }
             Err(_) => return,
         }
@@ -248,8 +253,7 @@ impl<'env> WorkerPool<'env> {
     /// accounting a worker would apply (minus a worker slot).
     fn run_inline(&self, job: Job<'env>) {
         locked(&self.telemetry).started += 1;
-        job();
-        locked(&self.telemetry).finished += 1;
+        job(&|| locked(&self.telemetry).finished += 1);
     }
 
     /// Submits one fire-and-forget job without blocking for completion —
@@ -273,10 +277,13 @@ impl<'env> WorkerPool<'env> {
         let telemetry = Arc::clone(&self.telemetry);
         // AssertUnwindSafe: as in `run`, the captures die with the
         // closure and the failure is visible (panic counter).
-        let wrapped: Job<'env> = Box::new(move || {
+        // The job's own completion signal runs inside it, so a consumer
+        // may see it before the job is booked `finished`.
+        let wrapped: Job<'env> = Box::new(move |book_finished| {
             if catch_unwind(AssertUnwindSafe(job)).is_err() {
                 locked(&telemetry).panicked += 1;
             }
+            book_finished();
         });
         if self.workers == 0 {
             self.run_inline(wrapped);
@@ -329,8 +336,11 @@ impl<'env> WorkerPool<'env> {
             // AssertUnwindSafe: a panicked job's captures are dropped
             // with the closure and never observed again — the query is
             // reported failed as a whole, so no broken invariant leaks.
-            let wrapped: Job<'env> = Box::new(move || {
+            // The job is booked before its result is sent, so when `run`
+            // returns the telemetry already balances.
+            let wrapped: Job<'env> = Box::new(move |book_finished| {
                 let outcome = catch_unwind(AssertUnwindSafe(job));
+                book_finished();
                 let _ = result_tx.send((idx, outcome));
             });
             if self.workers == 0 {
@@ -600,7 +610,15 @@ mod tests {
             let mut got: Vec<usize> = (0..8).map(|_| done_rx.recv().unwrap()).collect();
             got.sort_unstable();
             assert_eq!(got, (0..8).collect::<Vec<_>>());
-            let t = pool.telemetry();
+            // A submitted job reports through its channel before the
+            // worker books it, so wait for the booking.
+            let t = loop {
+                let t = pool.telemetry();
+                if t.finished == 8 {
+                    break t;
+                }
+                std::thread::yield_now();
+            };
             assert_eq!(t.submitted, 8);
             assert_eq!(t.finished, 8);
             assert_eq!(t.per_worker.iter().sum::<u64>(), 8);

@@ -17,11 +17,13 @@
 //! and swaps it into the [`SnapshotHandle`]. In-flight readers keep
 //! their `Arc` to the previous epoch and finish on a consistent index;
 //! new readers pick up the new epoch atomically. Threshold maintenance
-//! is incremental via the *self-application*: a reverse-top-`B` query of
-//! each mutated row against the current table finds exactly the weights
-//! whose materialized top-k can change (see
+//! is incremental via the *self-application*: a reverse-top-`k_max`
+//! query of each mutated point row against the current table finds the
+//! weights whose exact rungs (up to the served `k`) can change (see
 //! `ThresholdIndex::row_affected`), and only those columns are
-//! recomputed.
+//! recomputed; under every other weight the row moves the count-tracked
+//! floor rungs above the served `k` by one (see the `threshold` module
+//! docs).
 //!
 //! Compaction ([`DynamicEngine::compact`], also triggered automatically
 //! when tombstones outnumber live rows) folds tombstones and append
@@ -521,6 +523,17 @@ impl DynamicEngine {
     /// at the current epoch (replacing any previous table). Requires an
     /// empty stage so the table can never describe unpublished data.
     ///
+    /// The ladder splits at its served `k` (`k_max`,
+    /// [`ThresholdIndex::served_k`] over the live point count): the
+    /// largest bucket below `|P|` that is not a power of two, i.e. the
+    /// explicit `k` of [`ThresholdIndex::default_buckets`]. Rungs up to
+    /// it stay exact, so RTK at that `k` decides exactly and a publish
+    /// recomputes a column only when a staged point scores at or below
+    /// its `k_max` rung; the rungs above become count-tracked floor
+    /// rungs (see the `threshold` module docs). With no such bucket
+    /// every rung stays exact and every publish flags against the top
+    /// rung.
+    ///
     /// # Errors
     ///
     /// [`RrqError::InvalidParameter`] with staged operations pending, or
@@ -533,19 +546,12 @@ impl DynamicEngine {
             });
         }
         let cur = self.handle.snapshot();
-        let mut bs: Vec<usize> = buckets.to_vec();
-        bs.sort_unstable();
-        bs.dedup();
-        let n_buckets = bs.len();
-        let width = cur.total_weight_width();
-        let mut idx = ThresholdIndex::from_parts(
-            bs,
+        let mut idx = ThresholdIndex::unfilled(
+            buckets,
+            true,
             cur.live_point_count(),
-            width,
+            cur.total_weight_width(),
             cur.base.points.dim(),
-            vec![f64::INFINITY; n_buckets * width],
-            0,
-            0,
         )?;
         let live_rows: Vec<&[f64]> = live_points(&cur.base, &cur.delta)
             .map(|(_, row)| row)
@@ -660,9 +666,10 @@ impl DynamicEngine {
     }
 
     /// Publishes every staged mutation as the next epoch: applies the
-    /// batch to a copy of the delta, repairs exactly the threshold
-    /// columns the batch can have touched (booking
-    /// `threshold_rows_repaired`), folds tombstones into a fresh base
+    /// batch to a copy of the delta, recomputes the threshold columns
+    /// whose exact rungs the batch can have touched (booking
+    /// `threshold_rows_repaired`) and moves the floor counts of the
+    /// others, folds tombstones into a fresh base
     /// when compaction triggers, bumps the epoch (booking
     /// `epoch_published`) and swaps the new state into the handle.
     /// Returns the new epoch id.
@@ -688,18 +695,25 @@ impl DynamicEngine {
         let base_p = cur.base.points.len();
         let base_w = cur.base.weights.len();
 
-        // The self-application: every mutated row is reverse-queried
-        // against the *current* table at its largest bucket to find the
-        // weight columns whose top-k it can change. Deletes that raise a
-        // threshold always flag their column here, so columns flagged by
-        // no op are provably bit-identical after the batch.
+        // The self-application: every mutated point row is scored once
+        // per live column and reverse-queried against the table at the
+        // column's top exact rung. A row at or below it flags the column
+        // for recompute: deletes that raise an exact threshold always
+        // flag here, so the exact rungs of columns flagged by no op are
+        // provably bit-identical after the batch. A row above it moves
+        // the column's floor counts instead. Exact rungs change only in
+        // the recompute below, so every op is judged against the
+        // pre-batch table.
         let mut affected: Vec<usize> = Vec::new();
         let mut new_weight_cols: Vec<usize> = Vec::new();
-        let old_threshold = cur.threshold.as_deref();
-        let mut flag_affected = |idx: &ThresholdIndex, row: &[f64], cur: &EngineState| {
+        let mut table = cur.threshold.as_deref().cloned();
+        let mut note_point_op = |idx: &mut ThresholdIndex, row: &[f64], insert: bool| {
             for (wid, w) in live_weights(&cur.base, &cur.delta) {
-                if idx.row_affected(wid, rrq_types::dot(w, row)) {
+                let s = rrq_types::dot(w, row);
+                if idx.row_affected(wid, s) {
                     affected.push(wid);
+                } else {
+                    idx.shift_floor_counts(wid, s, insert);
                 }
             }
         };
@@ -711,8 +725,8 @@ impl DynamicEngine {
                     delta.push_point(&cur.base.grid, row)?;
                     point_ext.push(*ext);
                     self.point_by_ext.insert(*ext, id);
-                    if let Some(idx) = old_threshold {
-                        flag_affected(idx, row, &cur);
+                    if let Some(idx) = table.as_mut() {
+                        note_point_op(idx, row, true);
                     }
                 }
                 StagedOp::DeletePoint(ext) => {
@@ -723,8 +737,8 @@ impl DynamicEngine {
                             name: "point",
                             message: format!("external point id {ext} vanished before publish"),
                         })?;
-                    if let Some(idx) = old_threshold {
-                        flag_affected(idx, point_row(&cur.base, &delta, id), &cur);
+                    if let Some(idx) = table.as_mut() {
+                        note_point_op(idx, point_row(&cur.base, &delta, id), false);
                     }
                     delta.point_tombs.insert(id);
                     self.point_by_ext.remove(ext);
@@ -760,12 +774,13 @@ impl DynamicEngine {
 
         // Repair the threshold table over the post-batch live rows.
         // Whole-column recomputation over the final data is
-        // order-independent, so the repaired table is byte-identical to
-        // a rebuild — regardless of how the batch interleaved ops.
+        // order-independent, so the repaired exact rungs are
+        // byte-identical to a rebuild — regardless of how the batch
+        // interleaved ops — and a recomputed column's floor counts start
+        // afresh.
         let mut threshold = None;
-        if let Some(old) = old_threshold {
-            let mut idx = old.clone();
-            idx.push_weight_columns(total_w - old.n_weights());
+        if let Some(mut idx) = table {
+            idx.push_weight_columns(total_w - idx.n_weights());
             affected.sort_unstable();
             affected.dedup();
             let mut repair: Vec<usize> = affected;
@@ -1123,10 +1138,12 @@ mod tests {
     #[test]
     fn threshold_repair_equals_rebuild_bit_for_bit() {
         let (p, w) = workload(4, 70, 16, 11);
+        // Served k = 33: rungs 1, 4, 9, 33 are exact, rung 70 a floor rung.
         let buckets = [1usize, 4, 9, 33, 70];
         let mut engine = DynamicEngine::new(p, w, GirConfig::default()).unwrap();
         engine.enable_threshold_index(&buckets).unwrap();
         engine.insert_point(&[3.0, 1.0, 4.0, 1.5]).unwrap();
+        engine.insert_point(&[99.0, 99.0, 99.0, 99.0]).unwrap();
         engine.delete_point(12).unwrap();
         engine.insert_weight(&[0.4, 0.3, 0.2, 0.1]).unwrap();
         engine.delete_weight(5).unwrap();
@@ -1135,17 +1152,20 @@ mod tests {
         assert!(stats.threshold_rows_repaired > 0);
         let state = engine.snapshot();
         let repaired = state.threshold_index().expect("threshold attached");
+        assert_eq!(repaired.n_exact(), 4);
         // Oracle: rebuild from the live rows with the same buckets, then
-        // compare column by column over the live ids.
+        // compare column by column over the live ids: the exact rungs
+        // bit for bit, the floor rung for soundness.
         let (pl, wl, _pe, _we) = rebuild_oracle(&state);
         let oracle = ThresholdIndex::build(&pl, &wl, &buckets).unwrap();
+        let n_w = repaired.n_weights();
         let mut live_wid = 0usize;
         for wid in 0..state.total_weight_width() {
             if state.delta().weight_tombstoned(wid) {
                 continue;
             }
-            for bi in 0..buckets.len() {
-                let got = repaired.scores()[bi * repaired.n_weights() + wid];
+            for bi in 0..repaired.n_exact() {
+                let got = repaired.scores()[bi * n_w + wid];
                 let want = oracle.scores()[bi * oracle.n_weights() + live_wid];
                 assert_eq!(
                     got.to_bits(),
@@ -1153,6 +1173,19 @@ mod tests {
                     "column {wid} bucket {bi} diverged from rebuild"
                 );
             }
+            let stored = f64::from(repaired.floor_scores()[wid]);
+            let count = repaired.floor_counts()[wid] as usize;
+            let w = wl.weight(WeightId(live_wid));
+            let at_or_below = pl
+                .iter()
+                .filter(|(_, row)| rrq_types::dot(w, row) <= stored)
+                .count();
+            assert!(
+                count <= at_or_below,
+                "column {wid}: floor count {count} unsound"
+            );
+            // Recomputed at 70 points, then moved by at most one delete.
+            assert!(count >= 69, "column {wid}: floor count {count} lost points");
             live_wid += 1;
         }
         // And the served decisions agree end to end.

@@ -31,6 +31,24 @@
 //! (`scores[bucket_idx · |W| + wid]`) so a per-weight scan under one `k`
 //! walks one contiguous row.
 //!
+//! **Exact and floor rungs.** A static table ([`ThresholdIndex::build`])
+//! holds every rung exactly. The mutable engine's table
+//! ([`crate::DynamicEngine::enable_threshold_index`]) splits the ladder
+//! at the served `k` (`k_max`, [`ThresholdIndex::served_k`]). Rungs up
+//! to `k_max` stay exact `f64` order statistics: RTK at the served `k`
+//! needs them, and they stay bit-identical to a rebuild. Rungs above it
+//! serve only RKR's `rank > bound` certificate, which needs a lower
+//! bound on rank, not an exact score. Each becomes a pair: the score
+//! rounded *up* to `f32` and a `u32` lower bound on the live points that
+//! score at or below that stored value. At a recompute the count is
+//! `min(b, live |P|)` (a rung past the live count stores `+∞`); every
+//! later point insert or delete scoring at or below the stored value
+//! moves it by one, so it stays a sound lower bound without a refresh.
+//! The pair takes the 8 bytes of the `f64` it replaces, so the table's
+//! size does not change. A publish then recomputes a column only when a
+//! staged point scores at or below its `k_max` rung
+//! ([`ThresholdIndex::row_affected`]), not below its top rung.
+//!
 //! Serve-side, the index is attached to a [`crate::Gir`] (and thereby
 //! its parallel/pooled engines) after a staleness check against the
 //! live data sets; the build/serve split is persisted through
@@ -67,13 +85,6 @@ impl Fnv1a64 {
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
-}
-
-/// One-shot FNV-1a-64 of a byte slice.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(bytes);
-    h.finish()
 }
 
 /// Fingerprint of a `(P, W)` data-set pair: dimensionality,
@@ -118,7 +129,9 @@ pub(crate) enum RtkThresholdOutcome {
 }
 
 /// Per-weight `kth_score[w][k_bucket]` table: the k-th smallest
-/// `f_w(p)` over `P` for every weight `w` and materialized k-bucket.
+/// `f_w(p)` over `P` for every weight `w` and materialized k-bucket, on
+/// the exact rungs; a rounded-up score and a rank lower bound on the
+/// floor rungs above the served `k` (see the module docs).
 ///
 /// Built with [`ThresholdIndex::build`] (or
 /// [`crate::Gir::build_threshold_index`]), attached with
@@ -129,6 +142,9 @@ pub(crate) enum RtkThresholdOutcome {
 pub struct ThresholdIndex {
     /// Materialized k values, sorted strictly ascending, all ≥ 1.
     buckets: Vec<usize>,
+    /// Rungs `buckets[..n_exact]` are exact, the rest floor rungs;
+    /// `1 ≤ n_exact ≤ buckets.len()`.
+    n_exact: usize,
     /// `|P|` at build time. Buckets beyond it hold `+∞` (every query
     /// point is a member when `k > |P|`).
     n_points: usize,
@@ -136,8 +152,14 @@ pub struct ThresholdIndex {
     n_weights: usize,
     /// Data dimensionality at build time.
     dims: usize,
-    /// Column-major per k-bucket: `scores[bi · n_weights + wid]`.
+    /// The exact rungs, column-major: `scores[bi · n_weights + wid]`.
     scores: Vec<f64>,
+    /// The floor rungs' stored scores, each the rung's score rounded up
+    /// to `f32`: `floor_scores[(bi − n_exact) · n_weights + wid]`.
+    floor_scores: Vec<f32>,
+    /// Per floor rung and column, a lower bound on the live points that
+    /// score at or below the stored score; same layout.
+    floor_counts: Vec<u32>,
     /// [`epoch_fingerprint`] of the `(P, W, epoch)` triple the table was
     /// built from (or last repaired to).
     fingerprint: u64,
@@ -153,6 +175,8 @@ impl ThresholdIndex {
     /// exactly against query scores.
     ///
     /// `buckets` is sorted and deduplicated; every bucket must be ≥ 1.
+    /// Every rung is exact: a static table never changes, so rounding
+    /// its rungs could only lose certificates.
     ///
     /// # Errors
     ///
@@ -166,6 +190,31 @@ impl ThresholdIndex {
                 actual: weights.dim(),
             });
         }
+        let mut idx = Self::unfilled(buckets, false, points.len(), weights.len(), points.dim())?;
+        idx.fingerprint = epoch_fingerprint(points, weights, 0);
+        let mut keys = Vec::with_capacity(points.len());
+        for (wid, w) in weights.iter() {
+            idx.recompute_column(wid.0, w, points.iter().map(|(_, p)| p), &mut keys);
+        }
+        Ok(idx)
+    }
+
+    /// An all-`+∞` table over `buckets` (sorted and deduplicated here),
+    /// stamped at epoch 0 with fingerprint 0, for the column kernel to
+    /// fill. With `split`, the rungs above [`Self::served_k`] are floor
+    /// rungs (the mutable engine's table); otherwise every rung is exact.
+    ///
+    /// # Errors
+    ///
+    /// [`RrqError::InvalidParameter`] for an empty or zero-containing
+    /// bucket list.
+    pub(crate) fn unfilled(
+        buckets: &[usize],
+        split: bool,
+        n_points: usize,
+        n_weights: usize,
+        dims: usize,
+    ) -> RrqResult<Self> {
         let mut bs: Vec<usize> = buckets.to_vec();
         bs.sort_unstable();
         bs.dedup();
@@ -181,32 +230,38 @@ impl ThresholdIndex {
                 message: "k-buckets must be ≥ 1".to_string(),
             });
         }
-        let mut idx = Self {
-            scores: vec![f64::INFINITY; bs.len() * weights.len()],
-            buckets: bs,
-            n_points: points.len(),
-            n_weights: weights.len(),
-            dims: points.dim(),
-            fingerprint: epoch_fingerprint(points, weights, 0),
-            epoch: 0,
+        let n_exact = match Self::served_k(&bs, n_points) {
+            Some(k_max) if split => bs.partition_point(|&b| b <= k_max),
+            _ => bs.len(),
         };
-        let mut keys = Vec::with_capacity(points.len());
-        for (wid, w) in weights.iter() {
-            idx.recompute_column(wid.0, w, points.iter().map(|(_, p)| p), &mut keys);
-        }
-        Ok(idx)
+        let n_floor = (bs.len() - n_exact) * n_weights;
+        Ok(Self {
+            scores: vec![f64::INFINITY; n_exact * n_weights],
+            floor_scores: vec![f32::INFINITY; n_floor],
+            floor_counts: vec![0; n_floor],
+            buckets: bs,
+            n_exact,
+            n_points,
+            n_weights,
+            dims,
+            fingerprint: 0,
+            epoch: 0,
+        })
     }
 
     /// Reassembles an index from persisted parts, re-validating the
     /// structural invariants a corrupted-but-checksum-valid artifact
-    /// could violate.
+    /// could violate. `scores` holds the `n_exact` exact rungs,
+    /// `floors` the rest.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         buckets: Vec<usize>,
+        n_exact: usize,
         n_points: usize,
         n_weights: usize,
         dims: usize,
         scores: Vec<f64>,
+        floors: (Vec<f32>, Vec<u32>),
         fingerprint: u64,
         epoch: u64,
     ) -> RrqResult<Self> {
@@ -217,25 +272,61 @@ impl ThresholdIndex {
                 message: "persisted k-buckets must be strictly ascending and ≥ 1".to_string(),
             });
         }
-        if scores.len() != buckets.len() * n_weights {
+        if !(1..=buckets.len()).contains(&n_exact) {
+            return Err(RrqError::InvalidParameter {
+                name: "n_exact",
+                message: format!(
+                    "{n_exact} exact rungs on a ladder of {} buckets",
+                    buckets.len()
+                ),
+            });
+        }
+        let (floor_scores, floor_counts) = floors;
+        let n_floor = (buckets.len() - n_exact).checked_mul(n_weights);
+        let sized = n_exact.checked_mul(n_weights) == Some(scores.len())
+            && n_floor == Some(floor_scores.len())
+            && n_floor == Some(floor_counts.len());
+        if !sized {
             return Err(RrqError::InvalidParameter {
                 name: "scores",
                 message: format!(
-                    "score table holds {} entries, header implies {}",
+                    "score table holds {} exact and {}/{} floor entries, header implies \
+                     {n_exact} exact and {} floor rungs of {n_weights} columns",
                     scores.len(),
-                    buckets.len() * n_weights
+                    floor_scores.len(),
+                    floor_counts.len(),
+                    buckets.len() - n_exact,
                 ),
             });
         }
         Ok(Self {
             buckets,
+            n_exact,
             n_points,
             n_weights,
             dims,
             scores,
+            floor_scores,
+            floor_counts,
             fingerprint,
             epoch,
         })
+    }
+
+    /// The served `k` of a ladder over `n_points` points (`k_max`): its
+    /// largest bucket below `n_points` that is not a power of two — the
+    /// explicit `k` that [`Self::default_buckets`] puts beside its
+    /// power-of-two rungs. The mutable engine keeps the rungs up to it
+    /// exact and turns the rungs above it into floor rungs (see the
+    /// module docs). `None` when no bucket qualifies (a power-of-two
+    /// `k`, or a ladder of powers of two only): every rung then stays
+    /// exact.
+    pub fn served_k(buckets: &[usize], n_points: usize) -> Option<usize> {
+        buckets
+            .iter()
+            .copied()
+            .filter(|&b| b < n_points && !b.is_power_of_two())
+            .max()
     }
 
     /// The standard serving bucket ladder: the query `k` values a sweep
@@ -244,7 +335,11 @@ impl ThresholdIndex {
     /// The explicit `ks` make RTK answers exact one-comparison
     /// decisions; the ladder gives RKR's self-refining heap bound a
     /// nearby bucket to certify `rank > bound` against wherever the
-    /// bound lands (the next rung is at most 2× above it).
+    /// bound lands (the next rung is at most 2× above it). On the
+    /// mutable engine the largest explicit `k` below `n_points` that is
+    /// not a power of two is the served `k` ([`Self::served_k`]): the
+    /// rungs up to it stay exact and the rungs above it become floor
+    /// rungs. A power-of-two `k` leaves every rung exact.
     pub fn default_buckets(ks: &[usize], n_points: usize) -> Vec<usize> {
         let mut buckets: Vec<usize> = ks.iter().copied().filter(|&k| k >= 1).collect();
         let mut rung = 1usize;
@@ -291,14 +386,39 @@ impl ThresholdIndex {
         self.epoch
     }
 
-    /// The raw column-major score table (`scores[bi · |W| + wid]`).
+    /// The number of exact rungs, `buckets()[..n_exact()]`; the rungs
+    /// above are floor rungs. Equal to `buckets().len()` for a static
+    /// table.
+    pub fn n_exact(&self) -> usize {
+        self.n_exact
+    }
+
+    /// The exact rungs' column-major score table
+    /// (`scores[bi · |W| + wid]`, `bi < n_exact()`).
     pub fn scores(&self) -> &[f64] {
         &self.scores
     }
 
-    /// Heap footprint of the table, for index-memory accounting.
+    /// The floor rungs' stored scores, rounded up to `f32`
+    /// (`floor_scores[(bi − n_exact()) · |W| + wid]`).
+    pub fn floor_scores(&self) -> &[f32] {
+        &self.floor_scores
+    }
+
+    /// Per floor rung and column, a lower bound on the live points that
+    /// score at or below the stored score; laid out as
+    /// [`Self::floor_scores`].
+    pub fn floor_counts(&self) -> &[u32] {
+        &self.floor_counts
+    }
+
+    /// Heap footprint of the table, for index-memory accounting. A floor
+    /// rung's `f32` score and `u32` count take the 8 bytes of the `f64`
+    /// an exact rung stores, so the split does not change it.
     pub fn memory_bytes(&self) -> usize {
         self.scores.len() * std::mem::size_of::<f64>()
+            + self.floor_scores.len() * std::mem::size_of::<f32>()
+            + self.floor_counts.len() * std::mem::size_of::<u32>()
             + self.buckets.len() * std::mem::size_of::<usize>()
     }
 
@@ -355,52 +475,90 @@ impl ThresholdIndex {
         self.scores[bucket_idx * self.n_weights + wid]
     }
 
+    /// Floor rung `bucket_idx`'s stored score and count for column `wid`.
+    #[inline]
+    fn floor_at(&self, bucket_idx: usize, wid: usize) -> (f64, usize) {
+        let at = (bucket_idx - self.n_exact) * self.n_weights + wid;
+        (
+            f64::from(self.floor_scores[at]),
+            self.floor_counts[at] as usize,
+        )
+    }
+
     /// Decides RTK membership of weight `wid` for query score `fq` and
     /// query parameter `k`, if the materialized thresholds certify it.
     ///
-    /// Membership is `rank < k ⟺ fq ≤ s_k(w)`. A bucket equal to `k`
-    /// decides exactly; otherwise the bracketing buckets decide via
+    /// Membership is `rank < k ⟺ fq ≤ s_k(w)`. An exact bucket equal to
+    /// `k` decides exactly; otherwise the bracketing buckets decide via
     /// monotonicity (`fq ≤ s_lo ≤ s_k` certifies membership,
     /// `fq > s_hi ≥ s_k` certifies non-membership) and everything in
-    /// between is [`RtkThresholdOutcome::Straddle`].
+    /// between is [`RtkThresholdOutcome::Straddle`]. Membership comes
+    /// only from exact rungs: a floor rung's stored score may sit above
+    /// the true one. A floor rung at or above `k` certifies
+    /// non-membership when `fq` exceeds its stored score and its count
+    /// is at least `k`: that many points then score strictly below `fq`.
     #[inline]
     pub(crate) fn decide_rtk(&self, wid: usize, k: usize, fq: f64) -> RtkThresholdOutcome {
         if k > self.n_points {
             // rank ≤ |P| < k: every weight is a member.
             return RtkThresholdOutcome::Member;
         }
-        match self.buckets.binary_search(&k) {
-            Ok(bi) => {
-                if fq <= self.score_at(bi, wid) {
+        // `hi`: the first rung at or above `k`.
+        let hi = match self.buckets.binary_search(&k) {
+            Ok(bi) if bi < self.n_exact => {
+                return if fq <= self.score_at(bi, wid) {
                     RtkThresholdOutcome::Member
                 } else {
                     RtkThresholdOutcome::NonMember
-                }
+                };
             }
-            Err(ins) => {
-                if ins > 0 && fq <= self.score_at(ins - 1, wid) {
-                    return RtkThresholdOutcome::Member;
-                }
-                if ins < self.buckets.len() && fq > self.score_at(ins, wid) {
-                    return RtkThresholdOutcome::NonMember;
-                }
-                RtkThresholdOutcome::Straddle
-            }
+            Ok(bi) | Err(bi) => bi,
+        };
+        let lo = hi.min(self.n_exact);
+        if lo > 0 && fq <= self.score_at(lo - 1, wid) {
+            return RtkThresholdOutcome::Member;
+        }
+        let non_member = if hi < self.n_exact {
+            fq > self.score_at(hi, wid)
+        } else if hi < self.buckets.len() {
+            let (stored, count) = self.floor_at(hi, wid);
+            stored < fq && count >= k
+        } else {
+            false
+        };
+        if non_member {
+            RtkThresholdOutcome::NonMember
+        } else {
+            RtkThresholdOutcome::Straddle
         }
     }
 
     /// The rank floor of query score `fq` under weight `wid`, as a slot
-    /// in `0..=buckets().len()`: the number of rungs `b` with
-    /// `s_b(w) < fq`.
+    /// in `0..=buckets().len()`: the number of rungs whose stored score
+    /// lies strictly below `fq`.
     ///
-    /// `s_b(w)` is nondecreasing in `b`, so those rungs form a prefix of
-    /// the ladder, found by binary search. A nonzero slot `i` proves
-    /// `rank(q, w) ≥ buckets()[i − 1]`: that many points score at most
-    /// `s_b(w) < fq`, i.e. strictly below `fq`. Buckets past `|P|` hold
-    /// `+∞` and never count.
+    /// Stored scores are nondecreasing along a column (an exact rung is
+    /// an order statistic, a floor rung one rounded up to `f32`), so
+    /// those rungs form a prefix of the ladder, found by binary search:
+    /// over the exact rungs, or over the floor rungs once `fq` exceeds
+    /// the top exact one. [`Self::slot_floor`] is the rank the slot
+    /// proves. Buckets past `|P|` hold `+∞` and never count.
     #[inline]
     pub(crate) fn rank_floor(&self, wid: usize, fq: f64) -> usize {
-        let (mut lo, mut hi) = (0, self.buckets.len());
+        let e = self.n_exact;
+        if e < self.buckets.len() && self.score_at(e - 1, wid) < fq {
+            let (mut lo, mut hi) = (0, self.buckets.len() - e);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if f64::from(self.floor_scores[mid * self.n_weights + wid]) < fq {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            return e + lo;
+        }
+        let (mut lo, mut hi) = (0, e);
         while lo < hi {
             let mid = (lo + hi) / 2;
             if self.score_at(mid, wid) < fq {
@@ -412,47 +570,80 @@ impl ThresholdIndex {
         lo
     }
 
-    /// The rank a [`Self::rank_floor`] slot proves: `0` for slot 0, else
-    /// the largest rung whose score lies strictly below `fq`.
+    /// The rank a [`Self::rank_floor`] slot proves under weight `wid`:
+    /// `0` for slot 0; else, for the largest rung whose stored score lies
+    /// strictly below `fq`, its bucket `b` when it is exact (`b` points
+    /// score at most `s_b(w) < fq`) and its count when it is a floor
+    /// rung (that many live points score at most its stored score).
     #[inline]
-    pub(crate) fn floor_rung(&self, slot: usize) -> usize {
-        slot.checked_sub(1).map_or(0, |i| self.buckets[i])
+    pub(crate) fn slot_floor(&self, wid: usize, slot: usize) -> usize {
+        match slot.checked_sub(1) {
+            None => 0,
+            Some(i) if i < self.n_exact => self.buckets[i],
+            Some(i) => self.floor_at(i, wid).1,
+        }
     }
 
     /// Whether the thresholds certify `rank(q, w) > bound` — i.e. a
     /// bounded [`crate::Gir`] scan (`gin_rank`) would return `None`, so
     /// the RKR heap offer can be skipped without changing the result.
     ///
-    /// Holds iff the floor rung ([`Self::rank_floor`]) exceeds `bound`.
-    /// An unsaturated heap (`bound == usize::MAX`) never skips.
+    /// Holds iff the floor the slot proves ([`Self::slot_floor`] of
+    /// [`Self::rank_floor`]) exceeds `bound`. An unsaturated heap
+    /// (`bound == usize::MAX`) never skips.
     #[inline]
     pub(crate) fn certifies_rank_above(&self, wid: usize, bound: usize, fq: f64) -> bool {
-        self.floor_rung(self.rank_floor(wid, fq)) > bound
+        self.slot_floor(wid, self.rank_floor(wid, fq)) > bound
     }
 
     // ---- incremental maintenance (the mutable engine's write path) ----
 
-    /// Whether a mutation whose score under weight `wid` is `s` can
-    /// change any materialized threshold of that weight — the
-    /// *self-application*: this is exactly the reverse-top-`B` membership
-    /// test at the largest materialized bucket `B`. A point with
-    /// `s > s_B(w)` sits below every materialized top-`b` (`b ≤ B`), so
-    /// inserting or deleting it leaves the whole column bit-identical;
+    /// Whether a point op whose score under weight `wid` is `s` can
+    /// change an exact rung of that column — the *self-application*:
+    /// the reverse-top-`k_max` membership test at the top exact rung
+    /// (the served `k`, or the top rung of an all-exact table). A point with
+    /// `s > s_kmax(w)` sits outside every exact top-`b` (`b ≤ k_max`),
+    /// so inserting or deleting it leaves every exact rung bit-identical;
     /// ties (`s == s_b`) leave the b-th smallest value unchanged, so `≤`
     /// is the exact affectedness frontier for deletes and a tight
-    /// superset for inserts.
+    /// superset for inserts. An op that does not flag the column moves
+    /// its floor counts instead ([`Self::shift_floor_counts`]).
     #[inline]
     pub(crate) fn row_affected(&self, wid: usize, s: f64) -> bool {
-        let last = self.buckets.len() - 1;
-        s <= self.score_at(last, wid)
+        s <= self.score_at(self.n_exact - 1, wid)
     }
 
-    /// Recomputes the full score column of `wid` from `rows`: the column
+    /// Books one point insert (`insert`) or delete whose score under
+    /// `wid` is `s` and that leaves the column's exact rungs alone (see
+    /// [`Self::row_affected`]): every floor rung whose stored score is at
+    /// or above `s` gains or loses exactly that live point, so its count
+    /// moves by one. A delete saturates at 0; each count stays a lower
+    /// bound on the live points at or below its stored score.
+    pub(crate) fn shift_floor_counts(&mut self, wid: usize, s: f64, insert: bool) {
+        for r in (0..self.buckets.len() - self.n_exact).rev() {
+            let at = r * self.n_weights + wid;
+            // Stored scores are nondecreasing up the column: once one
+            // lies below `s`, so does every rung under it.
+            if f64::from(self.floor_scores[at]) < s {
+                break;
+            }
+            let count = &mut self.floor_counts[at];
+            *count = if insert {
+                count.saturating_add(1)
+            } else {
+                count.saturating_sub(1)
+            };
+        }
+    }
+
+    /// Recomputes the full column of `wid` from `rows`: the column
     /// kernel of [`Self::build`] and of the mutable engine's repair (see
     /// the module docs). `keys` is scratch space, reused across columns.
     /// The column depends only on the multiset of `dot(w, p)` scores, so
     /// a repaired column is byte-identical to a rebuild-from-scratch over
-    /// the same rows.
+    /// the same rows. A floor rung `b` stores its order statistic rounded
+    /// up to `f32` and the count `min(b, rows)`: at least that many rows
+    /// score at or below it.
     pub(crate) fn recompute_column<'a>(
         &mut self,
         wid: usize,
@@ -462,6 +653,7 @@ impl ThresholdIndex {
     ) {
         keys.clear();
         keys.extend(rows.into_iter().map(|p| dot(w, p).to_bits()));
+        let live = u32::try_from(keys.len()).unwrap_or(u32::MAX);
         // Invariant: `prefix` holds the `prefix.len()` smallest keys.
         let mut prefix = keys.as_mut_slice();
         for (bi, &b) in self.buckets.iter().enumerate().rev() {
@@ -472,7 +664,13 @@ impl ThresholdIndex {
             } else {
                 f64::INFINITY
             };
-            self.scores[bi * self.n_weights + wid] = kth;
+            if bi < self.n_exact {
+                self.scores[bi * self.n_weights + wid] = kth;
+            } else {
+                let at = (bi - self.n_exact) * self.n_weights + wid;
+                self.floor_scores[at] = round_up_to_f32(kth);
+                self.floor_counts[at] = u32::try_from(b).map_or(live, |b| b.min(live));
+            }
         }
     }
 
@@ -482,32 +680,26 @@ impl ThresholdIndex {
         if n_new == 0 {
             return;
         }
-        let old_w = self.n_weights;
-        let new_w = old_w + n_new;
-        let mut scores = vec![f64::INFINITY; self.buckets.len() * new_w];
-        for bi in 0..self.buckets.len() {
-            scores[bi * new_w..bi * new_w + old_w]
-                .copy_from_slice(&self.scores[bi * old_w..(bi + 1) * old_w]);
-        }
-        self.scores = scores;
+        let (old_w, new_w) = (self.n_weights, self.n_weights + n_new);
+        let n_floor = self.buckets.len() - self.n_exact;
+        self.scores = widened(&self.scores, self.n_exact, old_w, new_w, f64::INFINITY);
+        self.floor_scores = widened(&self.floor_scores, n_floor, old_w, new_w, f32::INFINITY);
+        self.floor_counts = widened(&self.floor_counts, n_floor, old_w, new_w, 0);
         self.n_weights = new_w;
     }
 
     /// Compaction: keeps exactly the columns in `keep` (ascending live
-    /// weight ids), preserving their stored values — compaction renames
-    /// ids but never changes a threshold, so a compacted table still
-    /// equals a rebuild over the compacted data.
+    /// weight ids), preserving their stored values and floor counts —
+    /// compaction renames ids but never changes a score or a live point,
+    /// so a compacted table still equals a rebuild over the compacted
+    /// data on its exact rungs, and its floor counts stay sound.
     pub(crate) fn retain_weight_columns(&mut self, keep: &[usize]) {
         let old_w = self.n_weights;
-        let new_w = keep.len();
-        let mut scores = Vec::with_capacity(self.buckets.len() * new_w);
-        for bi in 0..self.buckets.len() {
-            for &wid in keep {
-                scores.push(self.scores[bi * old_w + wid]);
-            }
-        }
-        self.scores = scores;
-        self.n_weights = new_w;
+        let n_floor = self.buckets.len() - self.n_exact;
+        self.scores = kept_columns(&self.scores, self.n_exact, old_w, keep);
+        self.floor_scores = kept_columns(&self.floor_scores, n_floor, old_w, keep);
+        self.floor_counts = kept_columns(&self.floor_counts, n_floor, old_w, keep);
+        self.n_weights = keep.len();
     }
 
     /// Updates the live point cardinality (drives the `k > |P|` fast
@@ -522,6 +714,36 @@ impl ThresholdIndex {
         self.epoch = epoch;
         self.fingerprint = epoch_fingerprint(points, weights, epoch);
     }
+}
+
+/// `x` rounded up to the nearest `f32` at or above it; `+∞` stays.
+fn round_up_to_f32(x: f64) -> f32 {
+    let y = x as f32;
+    if f64::from(y) < x {
+        y.next_up()
+    } else {
+        y
+    }
+}
+
+/// The `rungs` rows of a column-major table of `old_w` columns, each
+/// widened to `new_w` columns with `fill`.
+fn widened<T: Copy>(table: &[T], rungs: usize, old_w: usize, new_w: usize, fill: T) -> Vec<T> {
+    let mut out = vec![fill; rungs * new_w];
+    for r in 0..rungs {
+        out[r * new_w..r * new_w + old_w].copy_from_slice(&table[r * old_w..(r + 1) * old_w]);
+    }
+    out
+}
+
+/// The columns `keep` of the `rungs` rows of a column-major table of
+/// `old_w` columns, in order.
+fn kept_columns<T: Copy>(table: &[T], rungs: usize, old_w: usize, keep: &[usize]) -> Vec<T> {
+    let mut out = Vec::with_capacity(rungs * keep.len());
+    for r in 0..rungs {
+        out.extend(keep.iter().map(|&wid| table[r * old_w + wid]));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -576,11 +798,22 @@ mod tests {
         }
     }
 
+    fn no_floors() -> (Vec<f32>, Vec<u32>) {
+        (Vec::new(), Vec::new())
+    }
+
     /// The b-th smallest dot score over P under w, by sorting.
     fn kth_by_sort(points: &PointSet, w: &[f64], b: usize) -> f64 {
         let mut scores: Vec<f64> = points.iter().map(|(_, p)| dot(w, p)).collect();
         scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
         scores[b - 1]
+    }
+
+    /// One-shot FNV-1a-64 of a byte slice.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a64::new();
+        h.update(bytes);
+        h.finish()
     }
 
     #[test]
@@ -775,7 +1008,7 @@ mod tests {
                     .filter(|&&b| rung_score(b) < fq)
                     .count();
                 assert_eq!(slot, want, "w{wid} fq {fq}: slot");
-                let floor = idx.floor_rung(slot);
+                let floor = idx.slot_floor(wid, slot);
                 let rank = scores.iter().filter(|&&s| s < fq).count();
                 assert!(floor <= rank, "w{wid} fq {fq}: floor {floor} > rank {rank}");
                 if let Some(&next) = idx.buckets().get(slot) {
@@ -825,7 +1058,7 @@ mod tests {
             assert!(assert_rank_floor_matches_oracle(&idx, &p, &w) > 0);
             // Every rung past |P| is +∞: no score ever has a floor above |P|.
             for wid in 0..w.len() {
-                assert!(idx.floor_rung(idx.rank_floor(wid, f64::INFINITY)) <= np);
+                assert!(idx.slot_floor(wid, idx.rank_floor(wid, f64::INFINITY)) <= np);
             }
         }
     }
@@ -852,19 +1085,63 @@ mod tests {
     #[test]
     fn from_parts_revalidates_structure() {
         assert!(matches!(
-            ThresholdIndex::from_parts(vec![3, 2], 10, 2, 2, vec![0.0; 4], 1, 0),
+            ThresholdIndex::from_parts(vec![3, 2], 2, 10, 2, 2, vec![0.0; 4], no_floors(), 1, 0),
             Err(RrqError::InvalidParameter {
                 name: "buckets",
                 ..
             })
         ));
         assert!(matches!(
-            ThresholdIndex::from_parts(vec![2, 3], 10, 2, 2, vec![0.0; 3], 1, 0),
+            ThresholdIndex::from_parts(vec![2, 3], 2, 10, 2, 2, vec![0.0; 3], no_floors(), 1, 0),
             Err(RrqError::InvalidParameter { name: "scores", .. })
         ));
-        let ok = ThresholdIndex::from_parts(vec![2, 3], 10, 2, 2, vec![0.0; 4], 1, 0).unwrap();
+        let ok =
+            ThresholdIndex::from_parts(vec![2, 3], 2, 10, 2, 2, vec![0.0; 4], no_floors(), 1, 0)
+                .unwrap();
         assert_eq!(ok.buckets(), &[2, 3]);
         assert_eq!(ok.epoch(), 0);
+        // The exact rung count must lie in 1..=buckets, and the floor
+        // halves must match it.
+        for n_exact in [0usize, 3] {
+            assert!(matches!(
+                ThresholdIndex::from_parts(
+                    vec![2, 3],
+                    n_exact,
+                    10,
+                    2,
+                    2,
+                    vec![0.0; 2 * n_exact],
+                    no_floors(),
+                    1,
+                    0
+                ),
+                Err(RrqError::InvalidParameter {
+                    name: "n_exact",
+                    ..
+                })
+            ));
+        }
+        let floors = |n: usize, m: usize| (vec![0.0f32; n], vec![0u32; m]);
+        for (n, m) in [(2, 1), (1, 2), (0, 0)] {
+            assert!(matches!(
+                ThresholdIndex::from_parts(
+                    vec![2, 3],
+                    1,
+                    10,
+                    2,
+                    2,
+                    vec![0.0; 2],
+                    floors(n, m),
+                    1,
+                    0
+                ),
+                Err(RrqError::InvalidParameter { name: "scores", .. })
+            ));
+        }
+        let split =
+            ThresholdIndex::from_parts(vec![2, 3], 1, 10, 2, 2, vec![0.0; 2], floors(2, 2), 1, 0)
+                .unwrap();
+        assert_eq!((split.n_exact(), split.floor_counts().len()), (1, 2));
     }
 
     #[test]
@@ -873,10 +1150,12 @@ mod tests {
         let built = ThresholdIndex::build(&p, &w, &[3]).unwrap();
         let stamped = ThresholdIndex::from_parts(
             built.buckets().to_vec(),
+            built.n_exact(),
             built.n_points(),
             built.n_weights(),
             built.dims(),
             built.scores().to_vec(),
+            no_floors(),
             built.fingerprint(),
             4,
         )
@@ -959,6 +1238,237 @@ mod tests {
             assert_eq!(idx.scores()[bi * 3], before[bi * 4]);
             assert_eq!(idx.scores()[bi * 3 + 1], before[bi * 4 + 2]);
             assert_eq!(idx.scores()[bi * 3 + 2], before[bi * 4 + 3]);
+        }
+    }
+
+    #[test]
+    fn served_k_splits_the_ladder_and_falls_back_to_all_exact() {
+        let n_exact = |buckets: &[usize], n_points: usize| {
+            ThresholdIndex::unfilled(buckets, true, n_points, 3, 2)
+                .unwrap()
+                .n_exact()
+        };
+        // The default ladder's explicit k: rungs 1, 2, 4, 8, 10 stay exact.
+        let ladder = ThresholdIndex::default_buckets(&[10], 2_000);
+        assert_eq!(ThresholdIndex::served_k(&ladder, 2_000), Some(10));
+        assert_eq!(n_exact(&ladder, 2_000), 5);
+        // A power-of-two k, or a ladder of powers of two only: all exact.
+        let ladder = ThresholdIndex::default_buckets(&[16], 2_000);
+        assert_eq!(ThresholdIndex::served_k(&ladder, 2_000), None);
+        assert_eq!(n_exact(&ladder, 2_000), ladder.len());
+        assert_eq!(ThresholdIndex::served_k(&[1, 4, 16, 64], 70), None);
+        assert_eq!(n_exact(&[1, 4, 16, 64], 70), 4);
+        // The largest qualifying bucket wins; here it is the top rung.
+        assert_eq!(ThresholdIndex::served_k(&[1, 10, 80], 600), Some(80));
+        assert_eq!(n_exact(&[1, 10, 80], 600), 3);
+        // |P| itself is not a served k.
+        assert_eq!(ThresholdIndex::served_k(&[1, 4, 9, 33, 70], 70), Some(33));
+        assert_eq!(n_exact(&[1, 4, 9, 33, 70], 70), 4);
+        // A static build never splits.
+        let (p, w) = workload(3, 30, 4, 3);
+        let idx = ThresholdIndex::build(&p, &w, &[1, 5, 12, 30]).unwrap();
+        assert_eq!(idx.n_exact(), 4);
+        assert!(idx.floor_scores().is_empty() && idx.floor_counts().is_empty());
+    }
+
+    #[test]
+    fn floor_rungs_round_scores_up_to_f32() {
+        for x in [0.0, 1.5, 0.25, f64::from(f32::MAX), f64::INFINITY] {
+            assert_eq!(f64::from(round_up_to_f32(x)), x, "{x} is representable");
+        }
+        for x in [0.1, 1.0 / 3.0, 1e-300, 12_345.678_9, 1.0 + f64::EPSILON] {
+            let up = round_up_to_f32(x);
+            assert!(f64::from(up) > x, "{x} rounds up");
+            assert!(
+                f64::from(up.next_down()) < x,
+                "{x}: {up} is the nearest above"
+            );
+        }
+        assert_eq!(round_up_to_f32(f64::MAX), f32::INFINITY);
+    }
+
+    /// Checks a table's two halves over the live `rows`: exact rungs
+    /// equal the sort oracle bit for bit; floor rungs store scores
+    /// nondecreasing up the column, each with a count at most the live
+    /// rows scoring at or below it. Then the
+    /// query-side uses are sound: the slot `rank_floor` returns counts
+    /// the rungs stored below `fq`, the floor it proves is at most the
+    /// true rank, and `decide_rtk` never contradicts the oracle (and
+    /// never straddles at an exact `k`). Returns the floor-rung checks.
+    fn assert_split_table_sound(
+        idx: &ThresholdIndex,
+        rows: &[Vec<f64>],
+        weights: &WeightSet,
+    ) -> usize {
+        let (n_w, e) = (idx.n_weights(), idx.n_exact());
+        assert_eq!(idx.n_points(), rows.len(), "live points");
+        let mut checked = 0;
+        for (wid, wrow) in weights.iter() {
+            let wid = wid.0;
+            let mut scores: Vec<f64> = rows.iter().map(|p| dot(wrow, p)).collect();
+            scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mut stored = Vec::new();
+            for (bi, &b) in idx.buckets().iter().enumerate() {
+                if bi < e {
+                    let order_stat = scores.get(b - 1).copied().unwrap_or(f64::INFINITY);
+                    let got = idx.scores()[bi * n_w + wid];
+                    assert_eq!(got.to_bits(), order_stat.to_bits(), "w{wid} exact b{b}");
+                    stored.push(got);
+                    continue;
+                }
+                let at = (bi - e) * n_w + wid;
+                let (s, count) = (f64::from(idx.floor_scores()[at]), idx.floor_counts()[at]);
+                assert!(
+                    stored.last().is_none_or(|&prev| prev <= s),
+                    "w{wid} b{b}: not monotone"
+                );
+                let at_or_below = scores.iter().filter(|&&x| x <= s).count();
+                assert!(
+                    count as usize <= at_or_below,
+                    "w{wid} b{b}: count {count} > {at_or_below}"
+                );
+                stored.push(s);
+                checked += 1;
+            }
+            let mut probes = vec![-1.0, 0.0, f64::INFINITY];
+            for &s in scores.iter().chain(&stored) {
+                probes.extend([s, s.next_down(), s.next_up()]);
+            }
+            for fq in probes {
+                let slot = idx.rank_floor(wid, fq);
+                assert_eq!(
+                    slot,
+                    stored.iter().filter(|&&s| s < fq).count(),
+                    "w{wid} fq {fq}"
+                );
+                let rank = scores.iter().filter(|&&s| s < fq).count();
+                assert!(
+                    idx.slot_floor(wid, slot) <= rank,
+                    "w{wid} fq {fq}: floor above rank"
+                );
+                for k in 1..=rows.len() + 1 {
+                    match idx.decide_rtk(wid, k, fq) {
+                        RtkThresholdOutcome::Member => assert!(rank < k, "w{wid} k{k} fq {fq}"),
+                        RtkThresholdOutcome::NonMember => assert!(rank >= k, "w{wid} k{k} fq {fq}"),
+                        RtkThresholdOutcome::Straddle => assert!(
+                            idx.buckets()[..e].binary_search(&k).is_err(),
+                            "w{wid} k{k}: straddle at an exact rung"
+                        ),
+                    }
+                }
+            }
+        }
+        checked
+    }
+
+    /// Seeded insert/delete sequences on split tables, applied the way
+    /// `DynamicEngine::publish` applies them: an op at or below a
+    /// column's top exact rung recomputes it, any other op moves its
+    /// floor counts. After every op both halves are checked against the
+    /// sort oracle over the live rows.
+    #[test]
+    fn floor_counts_stay_sound_under_inserts_and_deletes() {
+        let mut checked = 0;
+        // Exact dyadic ties (every rung sits in a run of equal scores),
+        // then distinct scores. Both start below the ladder's top rung,
+        // so it lies past the live count and holds `+∞` until inserts
+        // pass it.
+        let (tied_p, tied_w) = tied_workload(60);
+        let (uni_p, uni_w) = workload(3, 60, 6, 71);
+        for (points, weights, seed) in [(tied_p, tied_w, 5u64), (uni_p, uni_w, 9)] {
+            let buckets = ThresholdIndex::default_buckets(&[5], 60);
+            let pool: Vec<Vec<f64>> = points.iter().map(|(_, p)| p.to_vec()).collect();
+            let mut rows: Vec<Vec<f64>> = pool[..45].to_vec();
+            let mut idx =
+                ThresholdIndex::unfilled(&buckets, true, rows.len(), weights.len(), points.dim())
+                    .unwrap();
+            assert_eq!(idx.n_exact(), 4, "split at the served k = 5");
+            let mut keys = Vec::new();
+            for (wid, w) in weights.iter() {
+                idx.recompute_column(wid.0, w, rows.iter().map(|r| r.as_slice()), &mut keys);
+            }
+            checked += assert_split_table_sound(&idx, &rows, &weights);
+            let mut state = seed;
+            let mut next = move |n: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % n
+            };
+            let mut recomputed = 0;
+            for _ in 0..120 {
+                // Inserts repeat a pool row (a duplicate of a live one
+                // half the time); deletes pick a live row. Deletes win
+                // slightly more often, so the live count crosses the top
+                // rung both ways.
+                let insert = rows.len() < 8 || next(9) < 4;
+                let row = if insert {
+                    if next(2) == 0 {
+                        rows[next(rows.len())].clone()
+                    } else {
+                        pool[next(pool.len())].clone()
+                    }
+                } else {
+                    rows.swap_remove(next(rows.len()))
+                };
+                if insert {
+                    rows.push(row.clone());
+                }
+                let mut flagged = Vec::new();
+                for (wid, w) in weights.iter() {
+                    let s = dot(w, &row);
+                    if idx.row_affected(wid.0, s) {
+                        flagged.push(wid.0);
+                    } else {
+                        idx.shift_floor_counts(wid.0, s, insert);
+                    }
+                }
+                for &wid in &flagged {
+                    let w = weights.weight(WeightId(wid));
+                    idx.recompute_column(wid, w, rows.iter().map(|r| r.as_slice()), &mut keys);
+                }
+                recomputed += flagged.len();
+                idx.set_live_points(rows.len());
+                checked += assert_split_table_sound(&idx, &rows, &weights);
+            }
+            assert!(
+                recomputed < 120 * weights.len(),
+                "every op recomputed every column"
+            );
+        }
+        assert!(checked > 1_000, "only {checked} floor-rung checks");
+    }
+
+    #[test]
+    fn split_columns_move_with_push_and_retain() {
+        let (p, w) = workload(3, 40, 4, 31);
+        let rows: Vec<Vec<f64>> = p.iter().map(|(_, r)| r.to_vec()).collect();
+        let buckets = [1usize, 3, 8, 16, 64];
+        let mut idx = ThresholdIndex::unfilled(&buckets, true, 40, 4, 3).unwrap();
+        assert_eq!(idx.n_exact(), 2);
+        let mut keys = Vec::new();
+        for (wid, wrow) in w.iter() {
+            idx.recompute_column(wid.0, wrow, p.iter().map(|(_, r)| r), &mut keys);
+        }
+        let before = idx.clone();
+        idx.push_weight_columns(2);
+        idx.retain_weight_columns(&[0, 2, 3]);
+        let mut kept = WeightSet::new(3).unwrap();
+        for wid in [0usize, 2, 3] {
+            kept.push_slice(w.weight(WeightId(wid))).unwrap();
+        }
+        assert_split_table_sound(&idx, &rows, &kept);
+        for (col, wid) in [0usize, 2, 3].into_iter().enumerate() {
+            for r in 0..3 {
+                assert_eq!(
+                    idx.floor_counts()[r * 3 + col],
+                    before.floor_counts()[r * 4 + wid]
+                );
+                assert_eq!(
+                    idx.floor_scores()[r * 3 + col],
+                    before.floor_scores()[r * 4 + wid]
+                );
+            }
         }
     }
 }

@@ -334,9 +334,9 @@ fn persisted_index_goes_stale_when_engine_mutates() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Corruption-matrix extension for the version-2 epoch header field:
-/// flipping epoch bytes leaves the file structurally valid (the
-/// checksum covers the payload, not the header) but the reader's
+/// Corruption-matrix extension for the epoch header field: flipping
+/// epoch bytes leaves the file structurally valid (the checksum covers
+/// the exact-rung count and the payload, not the epoch) but the reader's
 /// output must then fail the epoch/fingerprint staleness check rather
 /// than be served.
 #[test]

@@ -61,11 +61,32 @@ impl SplitMix64 {
 
 const RANGE: f64 = 100.0;
 
-fn random_point(rng: &mut SplitMix64, dim: usize) -> Vec<f64> {
-    (0..dim).map(|_| rng.f64() * RANGE * 0.999).collect()
+/// How a trace draws its rows.
+#[derive(Clone, Copy, PartialEq)]
+enum Values {
+    /// Uniform coordinates and weight components: scores rarely tie.
+    Uniform,
+    /// Coordinates in {0, 25, 50, 75} and weight components in
+    /// multiples of 1/4: every product and sum is exact, so scores take
+    /// few values and tie at and around every rung.
+    Dyadic,
 }
 
-fn random_weight(rng: &mut SplitMix64, dim: usize) -> Vec<f64> {
+fn random_point(rng: &mut SplitMix64, dim: usize, values: Values) -> Vec<f64> {
+    match values {
+        Values::Uniform => (0..dim).map(|_| rng.f64() * RANGE * 0.999).collect(),
+        Values::Dyadic => (0..dim).map(|_| rng.below(4) as f64 * 25.0).collect(),
+    }
+}
+
+fn random_weight(rng: &mut SplitMix64, dim: usize, values: Values) -> Vec<f64> {
+    if values == Values::Dyadic {
+        let mut row = vec![0.0; dim];
+        for _ in 0..4 {
+            row[rng.below(dim as u64) as usize] += 0.25;
+        }
+        return row;
+    }
     let mut row: Vec<f64> = (0..dim).map(|_| rng.f64() + 1e-6).collect();
     let sum: f64 = row.iter().sum();
     for v in &mut row {
@@ -245,13 +266,25 @@ fn run_explained<F: Fn(usize) -> u64>(
     (rtk_out, rkr_out, total)
 }
 
-/// The repaired threshold table of `state` equals `ThresholdIndex::build`
-/// over the live rows with the same buckets, bit for bit, on every live
-/// column. Tombstoned columns are dead storage until compaction and are
-/// skipped. This pins the publish path's `row_affected` filter: a column
-/// it wrongly leaves unrepaired keeps stale rungs here even when no
-/// query answer happens to expose them.
-fn assert_threshold_table_matches_rebuild(state: &EngineState, buckets: &[usize], label: &str) {
+/// The table invariant, in its two halves, on every live column of the
+/// repaired threshold table of `state` (tombstoned columns are dead
+/// storage until compaction and are skipped):
+///
+/// * the exact rungs equal `ThresholdIndex::build` over the live rows
+///   with the same buckets, bit for bit;
+/// * every floor rung is sound: at least its count of live points score
+///   at or below its stored score.
+///
+/// This pins the publish path's `row_affected` filter and floor-count
+/// upkeep: a column it wrongly leaves unrepaired keeps stale exact rungs
+/// here, and a count it fails to decrement overstates its rung, even
+/// when no query answer happens to expose either. Returns the number of
+/// floor-rung checks.
+fn assert_threshold_table_matches_rebuild(
+    state: &EngineState,
+    buckets: &[usize],
+    label: &str,
+) -> usize {
     let table = state
         .threshold_index()
         .unwrap_or_else(|| panic!("{label}: no threshold index attached"));
@@ -267,18 +300,17 @@ fn assert_threshold_table_matches_rebuild(state: &EngineState, buckets: &[usize]
     let oracle = ThresholdIndex::build(&p, &w, buckets).unwrap();
     assert_eq!(table.buckets(), oracle.buckets(), "{label}: buckets");
     assert_eq!(table.n_points(), oracle.n_points(), "{label}: live points");
-    assert_eq!(
-        table.n_weights(),
-        state.total_weight_width(),
-        "{label}: width"
-    );
+    let n_w = table.n_weights();
+    assert_eq!(n_w, state.total_weight_width(), "{label}: width");
     let mut live = 0;
+    let mut floor_checks = 0;
     for wid in 0..state.total_weight_width() {
         if !state.weight_is_live(wid) {
             continue;
         }
-        for (bi, b) in oracle.buckets().iter().enumerate() {
-            let got = table.scores()[bi * table.n_weights() + wid];
+        let (b_exact, b_floor) = oracle.buckets().split_at(table.n_exact());
+        for (bi, b) in b_exact.iter().enumerate() {
+            let got = table.scores()[bi * n_w + wid];
             let want = oracle.scores()[bi * oracle.n_weights() + live];
             assert_eq!(
                 got.to_bits(),
@@ -286,14 +318,31 @@ fn assert_threshold_table_matches_rebuild(state: &EngineState, buckets: &[usize]
                 "{label}: column {wid} rung {b} diverged from rebuild"
             );
         }
+        let w_row = w.weight(rrq_types::WeightId(live));
+        for (r, b) in b_floor.iter().enumerate() {
+            let stored = f64::from(table.floor_scores()[r * n_w + wid]);
+            let count = table.floor_counts()[r * n_w + wid] as usize;
+            let at_or_below = p
+                .iter()
+                .filter(|(_, row)| rrq_types::dot(w_row, row) <= stored)
+                .count();
+            assert!(
+                count <= at_or_below,
+                "{label}: column {wid} floor rung {b} counts {count} live points \
+                 at or below {stored}, only {at_or_below} are"
+            );
+            floor_checks += 1;
+        }
         live += 1;
     }
     assert_eq!(live, oracle.n_weights(), "{label}: live columns");
+    floor_checks
 }
 
 /// The heart of the harness: at one query point, every engine over the
 /// mutable snapshot must equal every engine over the rebuilt oracle,
-/// after external-id mapping, and every funnel must reconcile.
+/// after external-id mapping, and every funnel must reconcile. Returns
+/// the number of floor-rung soundness checks made.
 #[allow(clippy::too_many_arguments)]
 fn assert_query_point(
     state: &Arc<EngineState>,
@@ -304,7 +353,7 @@ fn assert_query_point(
     q: &[f64],
     k: usize,
     label: &str,
-) {
+) -> usize {
     let view = state.view();
     let (op, ow, ow_ext) = shadow.rebuild_sets(dim);
     let mut oracle = Gir::new(&op, &ow, config);
@@ -326,9 +375,9 @@ fn assert_query_point(
         .map(|(e, r)| (*e, r.to_vec()))
         .collect();
     assert_eq!(live_p, shadow.points, "{label}: live points vs shadow");
-    if let Some(b) = buckets {
-        assert_threshold_table_matches_rebuild(state, b, label);
-    }
+    let floor_checks = buckets.map_or(0, |b| {
+        assert_threshold_table_matches_rebuild(state, b, label)
+    });
 
     let (want_rtk, want_rkr, _) = run_plain(&oracle, Engine::Seq, q, k, |wid| ow_ext[wid]);
 
@@ -362,10 +411,12 @@ fn assert_query_point(
             );
         }
     }
+    floor_checks
 }
 
-/// Replays one generated trace. Returns the number of query points
-/// checked (so callers can assert the trace was not vacuous).
+/// Replays one generated trace. Returns the number of query points and
+/// of floor-rung soundness checks made (so callers can assert the trace
+/// was not vacuous).
 #[allow(clippy::too_many_arguments)]
 fn replay_trace(
     dim: usize,
@@ -375,10 +426,27 @@ fn replay_trace(
     seed: u64,
     n_ops: usize,
     buckets: Option<&[usize]>,
+    values: Values,
     label_prefix: &str,
-) -> usize {
-    let p0 = synthetic::uniform_points(dim, np0, RANGE, seed).unwrap();
-    let w0 = synthetic::uniform_weights(dim, nw0, seed + 1).unwrap();
+) -> (usize, usize) {
+    let (p0, w0) = match values {
+        Values::Uniform => (
+            synthetic::uniform_points(dim, np0, RANGE, seed).unwrap(),
+            synthetic::uniform_weights(dim, nw0, seed + 1).unwrap(),
+        ),
+        Values::Dyadic => {
+            let mut rng = SplitMix64(seed);
+            let mut p = PointSet::new(dim, RANGE).unwrap();
+            for _ in 0..np0 {
+                p.push_slice(&random_point(&mut rng, dim, values)).unwrap();
+            }
+            let mut w = WeightSet::new(dim).unwrap();
+            for _ in 0..nw0 {
+                w.push_slice(&random_weight(&mut rng, dim, values)).unwrap();
+            }
+            (p, w)
+        }
+    };
     let config = GirConfig {
         partitions,
         ..GirConfig::default()
@@ -403,6 +471,7 @@ fn replay_trace(
     let mut rng = SplitMix64(seed ^ 0xdead_beef);
     let mut stats = QueryStats::default();
     let mut queries_checked = 0usize;
+    let mut floor_checks = 0usize;
 
     for step in 0..n_ops {
         let label = format!("{label_prefix} step {step}");
@@ -414,7 +483,7 @@ fn replay_trace(
                     let j = rng.below(shadow.points.len() as u64) as usize;
                     shadow.points[j].1.clone()
                 } else {
-                    random_point(&mut rng, dim)
+                    random_point(&mut rng, dim, values)
                 };
                 let ext = engine.insert_point(&row).unwrap();
                 stageable_p.push(ext);
@@ -429,7 +498,7 @@ fn replay_trace(
                 }
             }
             24..=33 => {
-                let row = random_weight(&mut rng, dim);
+                let row = random_weight(&mut rng, dim, values);
                 let ext = engine.insert_weight(&row).unwrap();
                 stageable_w.push(ext);
                 pending.push(PendingOp::InsW(ext, row));
@@ -468,7 +537,7 @@ fn replay_trace(
                 // shadow. k sweeps both edges.
                 let state = engine.snapshot();
                 let q = if rng.below(3) == 0 || shadow.points.is_empty() {
-                    random_point(&mut rng, dim)
+                    random_point(&mut rng, dim, values)
                 } else {
                     let j = rng.below(shadow.points.len() as u64) as usize;
                     shadow.points[j].1.clone()
@@ -479,7 +548,8 @@ fn replay_trace(
                     2 => shadow.weights.len().max(1),
                     _ => shadow.weights.len() + 3,
                 };
-                assert_query_point(&state, &shadow, dim, config, buckets, &q, k, &label);
+                floor_checks +=
+                    assert_query_point(&state, &shadow, dim, config, buckets, &q, k, &label);
                 queries_checked += 1;
             }
         }
@@ -488,8 +558,8 @@ fn replay_trace(
     engine.publish(&mut stats).unwrap();
     shadow.apply(&mut pending);
     let state = engine.snapshot();
-    let q = random_point(&mut rng, dim);
-    assert_query_point(
+    let q = random_point(&mut rng, dim, values);
+    floor_checks += assert_query_point(
         &state,
         &shadow,
         dim,
@@ -503,7 +573,7 @@ fn replay_trace(
         stats.epoch_published > 0,
         "{label_prefix}: no publish in trace"
     );
-    queries_checked + 1
+    (queries_checked + 1, floor_checks)
 }
 
 /// The tentpole matrix: shapes × grids × seeds, no threshold index.
@@ -523,19 +593,71 @@ fn mutable_engine_equals_rebuild_across_traces() {
             seed,
             90,
             None,
+            Values::Uniform,
             &format!("trace(d{dim},s{seed})"),
-        );
+        )
+        .0;
     }
     assert!(total >= 30, "traces checked only {total} query points");
 }
 
 /// Same harness with a threshold index attached: incremental repair at
 /// every publish must keep the mutable engine equal to an oracle that
-/// rebuilds its threshold table from scratch.
+/// rebuilds its threshold table from scratch. A ladder of powers of two
+/// has no served `k`, so every rung stays exact and the whole table is
+/// checked bit for bit.
 #[test]
 fn mutable_engine_with_threshold_equals_rebuild() {
-    let checked = replay_trace(3, 70, 18, 16, 99, 80, Some(&[1, 4, 16, 64]), "thr-trace");
+    let (checked, floor_checks) = replay_trace(
+        3,
+        70,
+        18,
+        16,
+        99,
+        80,
+        Some(&[1, 4, 16, 64]),
+        Values::Uniform,
+        "thr-trace",
+    );
     assert!(checked >= 8, "threshold trace checked only {checked}");
+    assert_eq!(floor_checks, 0, "a power-of-two ladder must stay all-exact");
+}
+
+/// Split ladders: the rungs up to the served `k` must equal a rebuild
+/// bit for bit, and every floor rung above it must stay sound, at every
+/// query point, while every engine's answers match the rebuild. The
+/// default ladder at k = 5 over 70 points (exact 1, 2, 4, 5; floors 8
+/// to 70), the same on exact dyadic ties with duplicate re-inserts, and
+/// a ladder split at 33 below a top rung past |P|.
+#[test]
+fn mutable_engine_with_split_threshold_equals_rebuild() {
+    let default_ladder = ThresholdIndex::default_buckets(&[5], 70);
+    let mut floor_checks = 0;
+    for (buckets, values, seed, label) in [
+        (
+            default_ladder.clone(),
+            Values::Uniform,
+            131u64,
+            "split-trace",
+        ),
+        (default_ladder, Values::Dyadic, 137, "split-dyadic-trace"),
+        (
+            vec![1, 4, 9, 33, 64, 100],
+            Values::Uniform,
+            139,
+            "split-33-trace",
+        ),
+    ] {
+        let (checked, floors) =
+            replay_trace(3, 70, 18, 16, seed, 100, Some(&buckets), values, label);
+        assert!(checked >= 8, "{label} checked only {checked} query points");
+        assert!(floors > 0, "{label} checked no floor rung");
+        floor_checks += floors;
+    }
+    assert!(
+        floor_checks >= 2_000,
+        "only {floor_checks} floor-rung checks"
+    );
 }
 
 /// Edge trace: every point of one grid cell is deleted (a whole cell
@@ -640,7 +762,7 @@ fn pinned_epoch_answers_identically_across_a_publish() {
     let w = synthetic::uniform_weights(dim, 24, 22).unwrap();
     let q = {
         let mut rng = SplitMix64(77);
-        random_point(&mut rng, dim)
+        random_point(&mut rng, dim, Values::Uniform)
     };
     let mut engine = DynamicEngine::new(p, w, config).unwrap();
     let mut stats = QueryStats::default();
@@ -663,7 +785,7 @@ fn pinned_epoch_answers_identically_across_a_publish() {
         let mut wstats = QueryStats::default();
         let mut rng = SplitMix64(99);
         for _ in 0..10 {
-            let row = random_point(&mut rng, dim);
+            let row = random_point(&mut rng, dim, Values::Uniform);
             engine.insert_point(&row).unwrap();
         }
         engine.delete_weight(5).unwrap();
