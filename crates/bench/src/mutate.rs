@@ -219,9 +219,10 @@ pub fn run(cfg: &ExpConfig, mc: &MutateConfig) -> Result<MutateReport, String> {
     let mut engine =
         DynamicEngine::new(p0.clone(), w0.clone(), gcfg).map_err(|e| format!("engine: {e:?}"))?;
     // The serving ladder real callers use: the rungs up to `k` stay
-    // exact, and above a `k` that is not a power of two the rungs are
-    // count-tracked floor rungs, so the gate pins both halves of the
-    // publish's threshold upkeep.
+    // exact, and above a `k` off the rung sequence (see
+    // `ThresholdIndex::served_k`) the rungs are count-tracked floor
+    // rungs, so the gate pins both halves of the publish's threshold
+    // upkeep.
     let buckets = ThresholdIndex::default_buckets(&[cfg.k], cfg.p_card);
     engine
         .enable_threshold_index(&buckets)

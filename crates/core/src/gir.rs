@@ -292,7 +292,7 @@ impl<'a, G: GridTable> Gir<'a, G> {
 
     /// Materializes a [`ThresholdIndex`] for this engine's data sets at
     /// the given k-buckets (per weight, `|P|` dot products and one
-    /// nested selection down the bucket ladder).
+    /// radix selection of every bucket).
     /// Build-only; attach the result with
     /// [`Self::attach_threshold_index`] to serve from it.
     ///

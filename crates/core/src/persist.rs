@@ -651,13 +651,13 @@ mod tests {
     }
 
     /// A mutable engine's split table after a few publishes: exact rungs
-    /// up to the served k = 5, floor rungs above with moved counts.
+    /// up to the served k = 6, floor rungs above with moved counts.
     fn split_threshold_engine(np: usize, nw: usize) -> crate::DynamicEngine {
         let p = synthetic::uniform_points(3, np, 10_000.0, 8).unwrap();
         let w = synthetic::uniform_weights(3, nw, 9).unwrap();
         let mut engine = crate::DynamicEngine::new(p, w, crate::GirConfig::default()).unwrap();
         engine
-            .enable_threshold_index(&ThresholdIndex::default_buckets(&[5], np))
+            .enable_threshold_index(&ThresholdIndex::default_buckets(&[6], np))
             .unwrap();
         let mut stats = rrq_types::QueryStats::default();
         for round in 0..3u64 {

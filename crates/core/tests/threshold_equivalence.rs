@@ -386,3 +386,69 @@ fn attach_rejects_foreign_index() {
     assert!(gir.detach_threshold_index().is_some());
     assert!(gir.threshold_index().is_none());
 }
+
+/// A point whose coordinates are all −0.0 (point validation accepts
+/// them: −0.0 is not below 0.0) scores −0.0 under every weight, because
+/// the `f64` sum starts at −0.0. Read as an unsigned key, its bit
+/// pattern orders above every positive score, so the threshold column
+/// kernel must map it to +0.0. RTK and RKR on a static engine and on a
+/// mutable engine that inserts the point after its index was enabled
+/// (so the publish repairs every column) must answer as Naive does, on
+/// two ladders: every rank a rung (wrong RTK members), and rungs 1 and
+/// |P| only, where `rank_floor` probes the top rung first (wrong RKR
+/// skips).
+#[test]
+fn negative_zero_scores_match_naive() {
+    use rrq_core::DynamicEngine;
+
+    let zero = [-0.0, -0.0, -0.0];
+    let rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]];
+    let mut p = PointSet::new(3, 100.0).unwrap();
+    let mut before = PointSet::new(3, 100.0).unwrap();
+    p.push_slice(&zero).unwrap();
+    for row in &rows {
+        p.push_slice(row).unwrap();
+        before.push_slice(row).unwrap();
+    }
+    let mut w = WeightSet::new(3).unwrap();
+    for row in [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [0.25, 0.5, 0.25]] {
+        w.push_slice(&row).unwrap();
+    }
+    let naive = Naive::new(&p, &w);
+    let mut stats = QueryStats::default();
+    for buckets in [&[1usize, 2, 3, 4][..], &[1, 4]] {
+        let mut gir = Gir::with_defaults(&p, &w);
+        let ti = gir.build_threshold_index(buckets).unwrap();
+        gir.attach_threshold_index(ti).unwrap();
+        let mut engine =
+            DynamicEngine::new(before.clone(), w.clone(), GirConfig::default()).unwrap();
+        engine.enable_threshold_index(buckets).unwrap();
+        engine.insert_point(&zero).unwrap();
+        let mut publish_stats = QueryStats::default();
+        engine.publish(&mut publish_stats).unwrap();
+        assert_eq!(publish_stats.threshold_rows_repaired, w.len() as u64);
+        let state = engine.snapshot();
+        let view = state.view();
+        for q in [
+            [1.0, 1.0, 1.0],
+            [5.0, 5.0, 5.0],
+            [9.0, 9.0, 9.0],
+            rows[1],
+            [0.0; 3],
+        ] {
+            for k in 1..=5 {
+                let label = format!("buckets {buckets:?} q={q:?} k={k}");
+                let want_rtk = naive.reverse_top_k(&q, k, &mut stats);
+                let want_rkr = naive.reverse_k_ranks(&q, k, &mut stats);
+                let got = gir.reverse_top_k(&q, k, &mut stats);
+                assert_eq!(got, want_rtk, "static rtk {label}");
+                let got = gir.reverse_k_ranks(&q, k, &mut stats);
+                assert_eq!(got, want_rkr, "static rkr {label}");
+                let got = view.reverse_top_k(&q, k, &mut stats);
+                assert_eq!(got, want_rtk, "mutable rtk {label}");
+                let got = view.reverse_k_ranks(&q, k, &mut stats);
+                assert_eq!(got, want_rkr, "mutable rkr {label}");
+            }
+        }
+    }
+}

@@ -626,12 +626,12 @@ fn mutable_engine_with_threshold_equals_rebuild() {
 /// Split ladders: the rungs up to the served `k` must equal a rebuild
 /// bit for bit, and every floor rung above it must stay sound, at every
 /// query point, while every engine's answers match the rebuild. The
-/// default ladder at k = 5 over 70 points (exact 1, 2, 4, 5; floors 8
-/// to 70), the same on exact dyadic ties with duplicate re-inserts, and
-/// a ladder split at 33 below a top rung past |P|.
+/// default ladder at k = 6 over 70 points (exact 5, 6; floors 8 to 64),
+/// the same on exact dyadic ties with duplicate re-inserts, and a
+/// ladder split at 33 below a top rung past |P|.
 #[test]
 fn mutable_engine_with_split_threshold_equals_rebuild() {
-    let default_ladder = ThresholdIndex::default_buckets(&[5], 70);
+    let default_ladder = ThresholdIndex::default_buckets(&[6], 70);
     let mut floor_checks = 0;
     for (buckets, values, seed, label) in [
         (
