@@ -4,7 +4,7 @@
 //! rrq-exp list
 //! rrq-exp <experiment-id|all> [--p N] [--w N] [--queries N] [--k N]
 //!         [--partitions N] [--seed N] [--threads N] [--par-query N]
-//!         [--par-shared-bound] [--par-pool] [--par-epoch N]
+//!         [--par-pool] [--par-epoch N]
 //!         [--threshold-index]
 //!         [--loadgen rate=R,dur=S,mode=open|closed[,workers=N,scan=K,explain=N,trace=F]]
 //!         [--mutate trace=SEED[,ops=N,checkpoints=N,dim=D]]
@@ -83,15 +83,13 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Parsed), String> {
             "--par-query" => {
                 cfg.par_query = next_value(&mut it, "--par-query")?.max(1);
             }
-            "--par-shared-bound" => cfg.par_shared = true,
             "--par-pool" => cfg.par_pool = true,
             "--threshold-index" => cfg.threshold_index = true,
             "--par-epoch" => {
-                // `0` keeps the mode selected by --par-shared-bound
-                // (ExpConfig::par_epoch's documented default), so it is
-                // passed through rather than clamped: clamping to 1
-                // would silently turn "epoch mode off" into the most
-                // aggressive epoch setting.
+                // `0` keeps worker-local bounds (ExpConfig::par_epoch's
+                // documented default), so it is passed through rather
+                // than clamped: clamping to 1 would silently turn "epoch
+                // mode off" into the most aggressive epoch setting.
                 cfg.par_epoch = next_value(&mut it, "--par-epoch")?;
             }
             "--loadgen" => {
@@ -326,7 +324,7 @@ fn main() -> ExitCode {
         println!();
         println!(
             "flags: --p N --w N --queries N --k N --partitions N --seed N --threads N \
-             --par-query N --par-shared-bound --par-pool --par-epoch N --threshold-index \
+             --par-query N --par-pool --par-epoch N --threshold-index \
              --loadgen rate=R,dur=S,mode=open|closed[,workers=N,scan=K,explain=N,trace=F] \
              --mutate trace=SEED[,ops=N,checkpoints=N,dim=D] \
              --explain[=prefix] --full --smoke --md"
@@ -353,15 +351,13 @@ fn main() -> ExitCode {
     } else {
         let mode = if cfg.par_epoch > 0 {
             format!("epoch bounds every {}", cfg.par_epoch)
-        } else if cfg.par_shared {
-            "shared bounds".to_string()
         } else {
             "deterministic".to_string()
         };
         let substrate = if cfg.par_pool {
             ", persistent pool"
         } else {
-            ", scoped threads"
+            ", pool per query"
         };
         format!(" ({mode}{substrate})")
     };

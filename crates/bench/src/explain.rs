@@ -92,8 +92,6 @@ pub fn capture(cfg: &ExpConfig) -> Result<Vec<Captured>, String> {
     if cfg.par_query > 1 {
         let mode = if cfg.par_epoch > 0 {
             BoundMode::Epoch(cfg.par_epoch)
-        } else if cfg.par_shared {
-            BoundMode::Shared
         } else {
             BoundMode::Local
         };

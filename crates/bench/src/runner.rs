@@ -90,22 +90,17 @@ pub struct ExpConfig {
     /// experiments wrap GIR with the parallel query engine at this
     /// thread count. Results are byte-identical either way.
     pub par_query: usize,
-    /// Let parallel query workers share scan bounds across shards
-    /// (tighter early termination, but counters depend on thread
-    /// timing). Off by default: deterministic mode keeps benchmark
-    /// counters bit-reproducible so `rrq-benchdiff` can gate parallel
-    /// documents at its exact default thresholds.
-    pub par_shared: bool,
     /// Serve parallel queries from one persistent
-    /// [`rrq_core::WorkerPool`] per timed section instead of scoping
-    /// fresh threads per query, amortising spawn/join across the batch.
+    /// [`rrq_core::WorkerPool`] per timed section instead of a one-off
+    /// pool per query, amortising spawn/join across the batch.
     /// Only meaningful with `par_query > 1`.
     pub par_pool: bool,
     /// Epoch-snapshot bound sharing (`rrq_core::BoundMode::Epoch`):
     /// workers exchange merged scan bounds every this-many shard
     /// weights at barrier-synchronised boundaries. `0` (the default)
-    /// keeps the mode chosen by `par_shared`; non-zero overrides it —
-    /// cross-shard pruning *and* exactly reproducible counters.
+    /// keeps worker-local bounds (`rrq_core::BoundMode::Local`); non-zero
+    /// adds cross-shard pruning. Counters are exactly reproducible either
+    /// way.
     pub par_epoch: usize,
     /// Attach a precomputed [`rrq_core::ThresholdIndex`] to every GIR
     /// engine under test. RTK weights decided by one table comparison
@@ -127,7 +122,6 @@ impl Default for ExpConfig {
             seed: 42,
             threads: 1,
             par_query: 1,
-            par_shared: false,
             par_pool: false,
             par_epoch: 0,
             threshold_index: false,
@@ -157,7 +151,6 @@ impl ExpConfig {
             seed: 42,
             threads: 1,
             par_query: 1,
-            par_shared: false,
             par_pool: false,
             par_epoch: 0,
             threshold_index: false,
@@ -279,12 +272,12 @@ where
     let elapsed = start.elapsed().as_secs_f64() * 1000.0;
     let extra = memtrack::delta(&mem_before);
 
-    // Intra-query parallel algorithms need a thread-safe recorder for
-    // their worker handoff (`Recorder::as_sync`); a `MetricsRecorder`
-    // would silently demote them to sequential tracing.
+    // A striped batch shares one recorder across its threads; a batch on
+    // the calling thread records into a `MetricsRecorder`, parallel
+    // queries included (their workers run untraced).
     let phases = if !collect::is_active() {
         Vec::new()
-    } else if threads == 1 && collect::par_query() <= 1 {
+    } else if threads == 1 {
         let rec = MetricsRecorder::new();
         let mut scratch = QueryStats::default();
         for q in queries {
@@ -450,20 +443,17 @@ pub mod collect {
         label: String,
         threads: usize,
         par_query: usize,
-        par_shared: bool,
         par_pool: bool,
         par_epoch: usize,
         threshold_index: bool,
     }
 
     impl Scope {
-        /// The bound-sharing mode the scope's flags select: an explicit
-        /// epoch size wins, then shared, else local (deterministic).
+        /// The bound-sharing mode the scope's flags select: epoch
+        /// snapshots at an explicit epoch size, else local bounds.
         fn bound_mode(&self) -> rrq_core::BoundMode {
             if self.par_epoch > 0 {
                 rrq_core::BoundMode::Epoch(self.par_epoch)
-            } else if self.par_shared {
-                rrq_core::BoundMode::Shared
             } else {
                 rrq_core::BoundMode::Local
             }
@@ -495,8 +485,6 @@ pub mod collect {
                 "par_mode",
                 if cfg.par_epoch > 0 {
                     "epoch"
-                } else if cfg.par_shared {
-                    "shared"
                 } else {
                     "deterministic"
                 },
@@ -520,7 +508,6 @@ pub mod collect {
                 label: String::new(),
                 threads: cfg.threads.max(1),
                 par_query: cfg.par_query.max(1),
-                par_shared: cfg.par_shared,
                 par_pool: cfg.par_pool,
                 par_epoch: cfg.par_epoch,
                 threshold_index: cfg.threshold_index,
@@ -671,12 +658,11 @@ mod tests {
     fn par_config_and_pool_follow_the_scope_flags() {
         let mut c = ExpConfig::smoke();
         c.par_query = 4;
-        c.par_shared = true;
         collect::begin("unit-par", &c);
         assert_eq!(
             collect::par_config(),
-            rrq_core::ParConfig::with_threads(4),
-            "--par-shared-bound maps to shared mode"
+            rrq_core::ParConfig::deterministic(4),
+            "--par-query alone keeps worker-local bounds"
         );
         assert!(!collect::par_pool());
         with_query_pool(|pool| assert!(pool.is_none(), "pool only opens with --par-pool"));
@@ -689,7 +675,7 @@ mod tests {
         assert_eq!(
             par_cfg.mode,
             rrq_core::BoundMode::Epoch(64),
-            "an explicit epoch size overrides the shared flag"
+            "an explicit epoch size selects epoch snapshots"
         );
         with_query_pool(|pool| {
             let pool = pool.expect("pool requested by the scope");

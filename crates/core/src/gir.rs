@@ -35,6 +35,7 @@ use rrq_types::{
     RtkResult, WeightSet,
 };
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the GIR algorithm.
@@ -872,6 +873,61 @@ impl DominBuffer {
     }
 }
 
+/// One weight loop's working state: the query and its quantised cells,
+/// the query's `Domin` buffer, the scan and weight-row scratch, and where
+/// the loop books its counters and explain events. The sequential engine
+/// lends its caller's `stats` and `sink` for the whole query; a
+/// [`crate::ParGir`] shard worker lends its own and merges them
+/// afterwards.
+pub(crate) struct ScanState<'s, S> {
+    q: &'s [f64],
+    qa: &'s [u8],
+    pub(crate) domin: DominBuffer,
+    scratch: Scratch,
+    w_scratch: Vec<u8>,
+    stats: &'s mut QueryStats,
+    pub(crate) sink: &'s mut S,
+}
+
+impl<'s, S> ScanState<'s, S> {
+    pub(crate) fn new<G: GridTable>(
+        gir: &Gir<'_, G>,
+        q: &'s [f64],
+        qa: &'s [u8],
+        stats: &'s mut QueryStats,
+        sink: &'s mut S,
+    ) -> Self {
+        let dim = gir.points.dim();
+        Self {
+            q,
+            qa,
+            domin: DominBuffer::new(gir.total_points()),
+            scratch: Scratch::new(dim),
+            w_scratch: vec![0u8; dim],
+            stats,
+            sink,
+        }
+    }
+}
+
+/// Alg. 3's visit order over one id range ([`Gir::rkr_order`]): each
+/// admitted weight's `f_w(q)` and rank-floor slot, kept at `wid - first`
+/// (`usize::MAX` marks a refused weight), and the admitted ids sorted by
+/// `(slot, wid)`.
+pub(crate) struct RkrOrder {
+    first: usize,
+    fqs: Vec<f64>,
+    slots: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl RkrOrder {
+    /// Number of weights to visit.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+}
+
 impl<G: GridTable> Gir<'_, G> {
     /// GIRTop-k (Alg. 2), generic over the recorder: the untraced entry
     /// point instantiates this with [`NoopRecorder`] (all instrumentation
@@ -893,15 +949,47 @@ impl<G: GridTable> Gir<'_, G> {
             sink.begin_query(ExplainKind::Rtk, q, k as u64, self.grid.partitions() as u64);
         }
         let _query = span(rec, "rtk");
-        let mut domin = DominBuffer::new(self.total_points());
-        let mut scratch = Scratch::new(self.points.dim());
-        let mut w_scratch = vec![0u8; self.points.dim()];
         let qa = timed_leaf(rec, "quantize", || {
             ApproxVectors::quantize_point(&self.grid, q)
         });
+        let mut st = ScanState::new(self, q, &qa, stats, sink);
         let _scan = span(rec, "scan");
         let mut out = Vec::new();
-        for wid in 0..self.total_weights() {
+        if self.rtk_scan(k, 0..self.total_weights(), &mut st, &mut out, rec) {
+            if st.sink.enabled() {
+                st.sink.invalidate_results();
+            }
+            return RtkResult::default();
+        }
+        RtkResult::from_weights(out)
+    }
+
+    /// Alg. 2's loop over the weights `wids`, in id order: admission, one
+    /// `f_w(q)`, the threshold decision when an index is attached, and
+    /// `gin_rank` bounded at `k - 1` for the rest. Members are appended to
+    /// `out`. Returns `true` as soon as `Domin` holds `k` points (lines
+    /// 7–8): no weight can then qualify, in this range or any other, since
+    /// `Domin` membership depends on `(p, q)` alone. The caller then
+    /// empties the result.
+    pub(crate) fn rtk_scan<R: Recorder + ?Sized, S: ExplainSink>(
+        &self,
+        k: usize,
+        wids: Range<usize>,
+        st: &mut ScanState<'_, S>,
+        out: &mut Vec<rrq_types::WeightId>,
+        rec: &R,
+    ) -> bool {
+        let ScanState {
+            q,
+            qa,
+            domin,
+            scratch,
+            w_scratch,
+            stats,
+            sink,
+        } = st;
+        let (stats, sink) = (&mut **stats, &mut **sink);
+        for wid in wids {
             if !self.admit_weight(wid, stats, sink) {
                 continue;
             }
@@ -910,7 +998,7 @@ impl<G: GridTable> Gir<'_, G> {
                 sink.weight(wid as u64);
             }
             let w = self.weight_data(wid);
-            let wa = self.w_row(wid, &mut w_scratch);
+            let wa = self.w_row(wid, w_scratch);
             let fq = dot_counted(w, q, stats);
             if let Some(ti) = &self.threshold {
                 // One comparison against the materialized k-th score
@@ -936,18 +1024,9 @@ impl<G: GridTable> Gir<'_, G> {
                     RtkThresholdOutcome::Straddle => {}
                 }
             }
-            if let Some(rank) = self.gin_rank(
-                wa,
-                w,
-                &qa,
-                fq,
-                k - 1,
-                &mut domin,
-                &mut scratch,
-                stats,
-                rec,
-                sink,
-            ) {
+            if let Some(rank) =
+                self.gin_rank(wa, w, qa, fq, k - 1, domin, scratch, stats, rec, sink)
+            {
                 debug_assert!(rank < k);
                 if sink.enabled() {
                     sink.result(wid as u64, rank as u64);
@@ -957,13 +1036,12 @@ impl<G: GridTable> Gir<'_, G> {
             // Alg. 2 lines 7–8: with k dominators no weight can qualify.
             if domin.len() >= k {
                 if sink.enabled() {
-                    sink.invalidate_results();
                     sink.bound_event(BoundSource::LocalScan, wid as u64, domin.len() as u64, true);
                 }
-                return RtkResult::default();
+                return true;
             }
         }
-        RtkResult::from_weights(out)
+        false
     }
 
     /// GIRk-Rank (Alg. 3), generic over the recorder (see
@@ -994,55 +1072,103 @@ impl<G: GridTable> Gir<'_, G> {
             sink.begin_query(ExplainKind::Rkr, q, k as u64, self.grid.partitions() as u64);
         }
         let _query = span(rec, "rkr");
-        let mut domin = DominBuffer::new(self.total_points());
-        let mut scratch = Scratch::new(self.points.dim());
-        let mut w_scratch = vec![0u8; self.points.dim()];
         let qa = timed_leaf(rec, "quantize", || {
             ApproxVectors::quantize_point(&self.grid, q)
         });
+        let mut st = ScanState::new(self, q, &qa, stats, sink);
         let _scan = span(rec, "scan");
+        let order = self.rkr_order(0..self.total_weights(), &mut st);
+        let mut heap = KBestHeap::new(k);
+        self.rkr_scan(&order, 0..order.len(), usize::MAX, &mut heap, &mut st, rec);
+        let result = heap.into_result();
+        if st.sink.enabled() {
+            for e in result.entries() {
+                st.sink.result(e.weight.0 as u64, e.rank as u64);
+            }
+        }
+        result
+    }
+
+    /// The pre-pass of Alg. 3's best-first visit over the weights `wids`
+    /// (see [`Self::rkr_impl`]): one `f_w(q)` and one floor probe per
+    /// admitted weight, then a counting sort by `(floor slot, wid)`,
+    /// stable, so ids stay ascending within a slot.
+    pub(crate) fn rkr_order<S: ExplainSink>(
+        &self,
+        wids: Range<usize>,
+        st: &mut ScanState<'_, S>,
+    ) -> RkrOrder {
         let ti = self.threshold.as_deref();
-        let n_w = self.total_weights();
-        // Pre-pass: one `f_w(q)` and one floor probe per admitted weight,
-        // kept by weight id (`usize::MAX` marks the rest); `next[s + 1]`
-        // counts slot `s`. Three flat arrays, 24 bytes a weight, are the
-        // query's whole scratch: kept this small (144 KB at |W| = 6 000),
-        // back-to-back queries mostly reuse the heap pages the allocator
-        // keeps instead of faulting in fresh ones.
+        // `next[s + 1]` counts slot `s`. Three flat arrays, 24 bytes a
+        // weight, are the query's whole scratch: kept this small (144 KB
+        // at |W| = 6 000), back-to-back queries mostly reuse the heap
+        // pages the allocator keeps instead of faulting in fresh ones.
         let n_slots = ti.map_or(1, |t| t.buckets().len() + 1);
-        let mut fqs = vec![0.0; n_w];
-        let mut slots = vec![usize::MAX; n_w];
+        let first = wids.start;
+        let mut fqs = vec![0.0; wids.len()];
+        let mut slots = vec![usize::MAX; wids.len()];
         let mut next = vec![0usize; n_slots + 1];
-        for wid in 0..n_w {
-            if !self.admit_weight(wid, stats, sink) {
+        for wid in wids {
+            if !self.admit_weight(wid, st.stats, st.sink) {
                 continue;
             }
-            let fq = dot_counted(self.weight_data(wid), q, stats);
+            let fq = dot_counted(self.weight_data(wid), st.q, st.stats);
             let slot = ti.map_or(0, |t| t.rank_floor(wid, fq));
-            fqs[wid] = fq;
-            slots[wid] = slot;
+            fqs[wid - first] = fq;
+            slots[wid - first] = slot;
             next[slot + 1] += 1;
         }
-        // Counting sort by `(floor slot, wid)`: stable, so ids stay
-        // ascending within a slot.
         for s in 1..=n_slots {
             next[s] += next[s - 1];
         }
         let mut order = vec![0usize; next[n_slots]];
-        for (wid, &slot) in slots.iter().enumerate() {
+        for (i, &slot) in slots.iter().enumerate() {
             if slot != usize::MAX {
-                order[next[slot]] = wid;
+                order[next[slot]] = first + i;
                 next[slot] += 1;
             }
         }
-        let mut heap = KBestHeap::new(k);
-        for wid in order {
-            let (fq, slot) = (fqs[wid], slots[wid]);
+        RkrOrder {
+            first,
+            fqs,
+            slots,
+            order,
+        }
+    }
+
+    /// Alg. 3's loop over the positions `at` of a visit order. Each weight
+    /// is scanned under `min(heap.threshold(), frozen)`; `frozen` is a
+    /// bound proven outside this loop (another shard's heap), `usize::MAX`
+    /// when there is none. A weight whose rank the ladder certifies above
+    /// that bound is skipped; the rest go through `gin_rank` and the heap.
+    pub(crate) fn rkr_scan<R: Recorder + ?Sized, S: ExplainSink>(
+        &self,
+        order: &RkrOrder,
+        at: Range<usize>,
+        frozen: usize,
+        heap: &mut KBestHeap,
+        st: &mut ScanState<'_, S>,
+        rec: &R,
+    ) {
+        let ScanState {
+            qa,
+            domin,
+            scratch,
+            w_scratch,
+            stats,
+            sink,
+            ..
+        } = st;
+        let (stats, sink) = (&mut **stats, &mut **sink);
+        let ti = self.threshold.as_deref();
+        for &wid in &order.order[at] {
+            let i = wid - order.first;
+            let (fq, slot) = (order.fqs[i], order.slots[i]);
             stats.weights_visited += 1;
             if sink.enabled() {
                 sink.weight(wid as u64);
             }
-            let bound = heap.threshold();
+            let bound = heap.threshold().min(frozen);
             if let Some(ti) = ti {
                 // `rank > bound` certified from the materialized scores
                 // means the bounded scan would return `None`: skip it.
@@ -1057,19 +1183,10 @@ impl<G: GridTable> Gir<'_, G> {
                 }
             }
             let w = self.weight_data(wid);
-            let wa = self.w_row(wid, &mut w_scratch);
-            if let Some(rank) = self.gin_rank(
-                wa,
-                w,
-                &qa,
-                fq,
-                bound,
-                &mut domin,
-                &mut scratch,
-                stats,
-                rec,
-                sink,
-            ) {
+            let wa = self.w_row(wid, w_scratch);
+            if let Some(rank) =
+                self.gin_rank(wa, w, qa, fq, bound, domin, scratch, stats, rec, sink)
+            {
                 timed_leaf(rec, "heap", || heap.offer(rank, rrq_types::WeightId(wid)));
                 if sink.enabled() {
                     // Each `minRank` tightening (Alg. 3's self-refining
@@ -1081,13 +1198,6 @@ impl<G: GridTable> Gir<'_, G> {
                 }
             }
         }
-        let result = heap.into_result();
-        if sink.enabled() {
-            for e in result.entries() {
-                sink.result(e.weight.0 as u64, e.rank as u64);
-            }
-        }
-        result
     }
 
     /// GIRTop-k with full pruning provenance: records the per-cell

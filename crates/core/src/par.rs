@@ -1,100 +1,48 @@
-//! Parallel query engine for GIR.
+//! Parallel query engine for GIR (DESIGN.md §5b).
 //!
 //! [`ParGir`] answers a *single* reverse top-k / reverse k-ranks query
-//! with several workers, each scanning a contiguous shard of the weight
-//! set `W` with its own [`DominBuffer`], [`Scratch`] and [`QueryStats`].
-//! Per-weight work is embarrassingly parallel — a weight's rank count
-//! depends only on `(w, q, P)` — so sharding `W` and merging shard
-//! outputs canonically reproduces the sequential answer **byte for
-//! byte**:
+//! with several workers: it splits the weight set `W` into contiguous
+//! shards, runs [`Gir`]'s own weight loop on each shard on a
+//! [`WorkerPool`] — the one attached with [`ParGir::with_pool`], else a
+//! one-off [`pool_scope`] — and merges the shard outputs in worker order.
+//! A weight's rank depends only on `(w, q, P)`, so the merge reproduces
+//! the sequential answer **byte for byte**. RTK members are independent,
+//! and `Domin` membership depends on `(p, q)` alone, so `k` dominators in
+//! any shard empty the global result. RKR workers visit their shard in
+//! the sequential engine's `(rank floor, id)` order into a local
+//! [`KBestHeap`]; merging those ([`KBestHeap::merge`]) yields the global
+//! k-best, and a shard's heap threshold is never below the global k-th
+//! rank, so pruning with it is sound.
 //!
-//! * RTK: membership of each weight is independent; the merged,
-//!   canonically sorted id list equals the sequential one. The Alg. 2
-//!   "`k` dominators ⇒ empty" exit is safe per worker, because `Domin`
-//!   membership is a property of `(p, q)` alone: `k` dominators force
-//!   every weight's rank to at least `k`, so the *global* result is
-//!   empty whenever any worker saturates.
-//! * RKR: each worker keeps a local [`KBestHeap`] over its shard; a
-//!   k-best heap retains exactly the `k` lexicographically smallest
-//!   `(rank, weight_id)` pairs offered, so merging shard heaps
-//!   ([`KBestHeap::merge`]) yields the exact k-best of the union. A
-//!   worker's scan bound (its local heap threshold) is always at least
-//!   the global k-th rank, hence never skips a global top-k entry.
-//!
-//! Three bound-sharing modes ([`BoundMode`]) trade bound sharpness
-//! against reproducibility:
-//!
-//! * [`BoundMode::Shared`] (default): RKR workers publish their
-//!   full-heap threshold into one shared atomic `minRank`
-//!   (`AtomicUsize::fetch_min`) and read it before each scan, tightening
-//!   early termination across shards; RTK workers broadcast dominator
-//!   saturation through an `AtomicBool`. Results stay exact, but
-//!   *counters* depend on cross-thread timing.
-//! * [`BoundMode::Local`] ([`ParConfig::deterministic`]): workers use
-//!   only locally derived bounds. At a fixed thread count every worker's
-//!   work — and therefore the merged [`QueryStats`] — is bit-identical
-//!   across runs, at the price of losing all cross-shard pruning.
-//! * [`BoundMode::Epoch`] ([`ParConfig::epoch`]): the epoch-snapshot
-//!   compromise. Workers scan with a *frozen* snapshot of the merged
-//!   cross-shard bound and exchange fresh bounds only at deterministic
-//!   epoch boundaries (every `N` weights of the shard), through a
-//!   barrier-synchronised [`EpochSync`]. Because every worker reads the
-//!   merged bound only after *all* workers published their epoch-`r`
-//!   value (and before any publishes epoch `r+1` — two barriers per
-//!   boundary), the bound each weight is scanned under is a pure
-//!   function of `(data, query, shards, epoch)`. Counters are exactly
-//!   reproducible run-to-run **and** most of the shared-mode pruning
-//!   survives — `rrq-benchdiff` can gate epoch-mode documents at its
-//!   default zero counter tolerance.
-//!
-//! Execution substrate: by default each query opens a fresh
-//! `std::thread::scope`. Attaching a persistent [`WorkerPool`] with
-//! [`ParGir::with_pool`] dispatches shard jobs to long-lived workers
-//! instead, amortising spawn/join across a query batch; pooled jobs own
-//! their per-query state (the pool outlives any single query), so they
-//! run under the [`NoopRecorder`] and the engine books `par.pool_reuse`
-//! / `par.epoch_syncs` on the caller's recorder. Shard decomposition,
-//! merge order and counters are identical on both substrates — the
-//! differential harness in `tests/par_equivalence.rs` pins that.
-//!
-//! Tracing: the untraced entry points run workers under the (trivially
-//! `Sync`) [`NoopRecorder`]. The traced ones ask the recorder for a
-//! thread-safe view via [`Recorder::as_sync`]; recorders that cannot
-//! cross threads (e.g. the `RefCell`-based `MetricsRecorder`) make the
-//! engine fall back to the sequential path — still traced, still exact —
-//! after booking one `par.sequential_fallback` count. The same counter
-//! is booked when a pool is attached but cannot host a parallel query
-//! (0/1 workers, or a 1-thread configuration).
+//! In [`BoundMode::Epoch`] workers also prune with a frozen snapshot of
+//! the merged cross-shard bound, exchanged every `N` shard weights
+//! through the barrier-coupled [`EpochSync`]; [`BoundMode::Local`] is one
+//! epoch of unbounded length. Either way the bound each weight is scanned
+//! under is a pure function of `(data, query, shards, epoch)`, so
+//! counters reproduce exactly. Jobs own their per-query state (an
+//! attached pool outlives the query) and run untraced: a traced query
+//! books its caller-side spans (`rtk`/`rkr`, `quantize`) and
+//! `par.pool_reuse` / `par.epoch_syncs` on the caller's recorder.
 
 use crate::approx::ApproxVectors;
-use crate::gir::{DominBuffer, Gir, Scratch};
+use crate::gir::{Gir, ScanState};
 use crate::grid::{Grid, GridTable};
-use crate::pool::WorkerPool;
-use crate::threshold::RtkThresholdOutcome;
+use crate::pool::{pool_scope, WorkerPool};
 use rrq_obs::{
     span, timed_leaf, BoundSource, ExplainDoc, ExplainKind, ExplainSink, NoopRecorder, NoopSink,
-    Recorder, RANK_CERTIFIED,
+    Recorder,
 };
-use rrq_types::{
-    dot_counted, KBestHeap, QueryStats, RkrQuery, RkrResult, RtkQuery, RtkResult, WeightId,
-};
+use rrq_types::{KBestHeap, QueryStats, RkrQuery, RkrResult, RtkQuery, RtkResult, WeightId};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread;
 
-/// How workers share scan bounds across shards. See the module docs for
-/// the full contract of each mode.
+/// How workers share scan bounds across shards (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundMode {
-    /// Live atomic bounds: sharpest pruning, timing-dependent counters.
-    Shared,
-    /// Worker-local bounds only: reproducible counters, no cross-shard
-    /// pruning.
+    /// Worker-local bounds only: no cross-shard pruning.
     Local,
     /// Frozen cross-shard bound refreshed every `N` shard weights at
-    /// barrier-synchronised boundaries: reproducible counters *and*
-    /// cross-shard pruning. `N` is clamped to at least 1.
+    /// barrier-synchronised boundaries. `N` is clamped to at least 1.
     Epoch(usize),
 }
 
@@ -108,26 +56,8 @@ pub struct ParConfig {
     pub mode: BoundMode,
 }
 
-impl Default for ParConfig {
-    /// All available cores, shared-bound mode.
-    fn default() -> Self {
-        Self {
-            threads: thread::available_parallelism().map_or(1, |n| n.get()),
-            mode: BoundMode::Shared,
-        }
-    }
-}
-
 impl ParConfig {
-    /// Shared-bound mode with an explicit thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            mode: BoundMode::Shared,
-        }
-    }
-
-    /// Local-bound (deterministic) mode with an explicit thread count.
+    /// Local-bound mode with an explicit thread count.
     pub fn deterministic(threads: usize) -> Self {
         Self {
             threads,
@@ -136,8 +66,8 @@ impl ParConfig {
     }
 
     /// Epoch-snapshot mode: exchange merged bounds every `every` shard
-    /// weights (clamped to at least 1). Deterministic counters *with*
-    /// cross-shard pruning.
+    /// weights (clamped to at least 1) — cross-shard pruning with
+    /// reproducible counters.
     pub fn epoch(threads: usize, every: usize) -> Self {
         Self {
             threads,
@@ -146,46 +76,51 @@ impl ParConfig {
     }
 }
 
-/// Locks an engine mutex. Epoch slots and barrier state are held only
-/// for a few word writes, never across scanning, so poisoning means a
-/// worker panicked mid-publish — propagate.
+/// Locks an epoch mutex. It is held only for a few word writes, so
+/// poisoning means a worker panicked mid-publish — propagate.
 fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     // rrq-lint: allow(no-unwrap-in-lib) -- a poisoned epoch mutex means a worker panicked; re-raise it
     mutex.lock().expect("epoch mutex poisoned")
 }
 
-/// Per-worker bound slots merged at epoch boundaries.
-struct EpochSlots {
+/// What an [`EpochSync`] guards: the slots workers publish into, the
+/// snapshot of the last completed boundary, and the rendezvous counters.
+struct EpochState {
     /// Latest published RKR scan bound per worker (`usize::MAX` = none).
     bounds: Vec<usize>,
     /// Latest published RTK saturation per worker.
     saturated: Vec<bool>,
-    /// Total boundary exchanges performed (for `par.epoch_syncs`).
-    syncs: u64,
-}
-
-/// Rendezvous state of a [`PoisonBarrier`].
-struct BarrierState {
-    /// Participants blocked on the current generation.
+    /// `(min bound, any saturated)` of the last completed boundary.
+    snapshot: (usize, bool),
+    /// Workers arrived at the current boundary.
     arrived: usize,
-    /// Completed rendezvous count; waking waiters compare against it to
-    /// tell a real release from a spurious condvar wakeup.
+    /// Completed boundaries; a woken waiter compares against it to tell
+    /// a real release from a spurious condvar wakeup.
     generation: u64,
-    /// Set when a participant unwound; pending and future waiters panic
+    /// Exchanges performed, summed over workers (`par.epoch_syncs`).
+    syncs: u64,
+    /// Set when a worker unwound: pending and later exchanges panic
     /// instead of waiting for a peer that will never arrive.
     poisoned: bool,
 }
 
-/// A reusable rendezvous like `std::sync::Barrier`, plus [`poison`]
-/// (Self::poison): a participant that unwinds mid-protocol marks the
-/// barrier, and every peer blocked (or about to block) in [`wait`]
-/// (Self::wait) panics out instead of deadlocking on the missing
-/// arrival. That panic unwinds through the worker like any shard panic:
-/// the pool's `catch_unwind` turns it into [`PoolError::JobPanicked`]
-/// (crate::pool::PoolError::JobPanicked), and the scoped substrate
-/// re-raises it on join.
-struct PoisonBarrier {
-    state: Mutex<BarrierState>,
+/// Barrier-coupled snapshot exchange for [`BoundMode::Epoch`].
+///
+/// Each worker publishes its value and blocks until every worker has; the
+/// last to arrive merges the slots into the boundary's snapshot, which
+/// every worker returns. That makes the protocol deterministic: the
+/// epoch-`r` snapshot is fixed before any worker is released, and the
+/// next is merged only once every worker has arrived again.
+///
+/// Every worker must arm a [`panic_guard`](Self::panic_guard) before its
+/// first [`exchange`](Self::exchange): if the worker unwinds, the guard
+/// poisons the sync, and every peer blocked (or about to block) in an
+/// exchange panics out instead of hanging on a rendezvous that can never
+/// complete. That panic unwinds through the worker like any shard panic:
+/// the pool's `catch_unwind` turns it into
+/// [`PoolError::JobPanicked`](crate::pool::PoolError::JobPanicked).
+struct EpochSync {
+    state: Mutex<EpochState>,
     cv: Condvar,
     workers: usize,
 }
@@ -193,12 +128,30 @@ struct PoisonBarrier {
 const EPOCH_PEER_PANICKED: &str =
     "epoch-snapshot peer panicked; abandoning the barrier-coupled scan";
 
-impl PoisonBarrier {
+/// RAII token tying a worker's participation in an [`EpochSync`] to its
+/// unwind path: dropped during a panic, it poisons the sync.
+struct EpochPanicGuard<'a> {
+    sync: &'a EpochSync,
+}
+
+impl Drop for EpochPanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.sync.poison();
+        }
+    }
+}
+
+impl EpochSync {
     fn new(workers: usize) -> Self {
         Self {
-            state: Mutex::new(BarrierState {
+            state: Mutex::new(EpochState {
+                bounds: vec![usize::MAX; workers],
+                saturated: vec![false; workers],
+                snapshot: (usize::MAX, false),
                 arrived: 0,
                 generation: 0,
+                syncs: 0,
                 poisoned: false,
             }),
             cv: Condvar::new(),
@@ -206,31 +159,45 @@ impl PoisonBarrier {
         }
     }
 
-    /// Blocks until all `workers` participants arrive. Panics if the
-    /// barrier is — or becomes, while waiting — poisoned.
-    fn wait(&self) {
+    /// Arms the unwind-to-poison coupling for one worker; hold the guard
+    /// for the whole scan (see the type docs).
+    fn panic_guard(&self) -> EpochPanicGuard<'_> {
+        EpochPanicGuard { sync: self }
+    }
+
+    /// Publishes worker `me`'s state, waits for every other worker, and
+    /// returns the merged `(min bound, any saturated)` snapshot of this
+    /// boundary. Panics if the sync is — or becomes, while waiting —
+    /// poisoned.
+    fn exchange(&self, me: usize, bound: usize, saturated: bool) -> (usize, bool) {
         let mut st = locked(&self.state);
         if st.poisoned {
             panic!("{EPOCH_PEER_PANICKED}");
         }
+        st.bounds[me] = bound;
+        st.saturated[me] = saturated;
+        st.syncs += 1;
         st.arrived += 1;
         if st.arrived == self.workers {
+            let min_bound = st.bounds.iter().copied().min().unwrap_or(usize::MAX);
+            st.snapshot = (min_bound, st.saturated.iter().any(|&s| s));
             st.arrived = 0;
             st.generation = st.generation.wrapping_add(1);
             self.cv.notify_all();
-            return;
+            return st.snapshot;
         }
         let gen = st.generation;
         while st.generation == gen && !st.poisoned {
-            // rrq-lint: allow(no-unwrap-in-lib) -- only this module locks the barrier mutex and never panics under it
-            st = self.cv.wait(st).expect("epoch barrier mutex poisoned");
+            // rrq-lint: allow(no-unwrap-in-lib) -- a poisoned epoch mutex means a peer panicked mid-exchange; re-raise it
+            st = self.cv.wait(st).expect("epoch mutex poisoned");
         }
         if st.poisoned {
             panic!("{EPOCH_PEER_PANICKED}");
         }
+        st.snapshot
     }
 
-    /// Marks the barrier poisoned and wakes every waiter. Called during
+    /// Marks the sync poisoned and wakes every waiter. Called during
     /// unwind, so it must not panic itself: a poisoned mutex is taken
     /// over instead of re-raised (the flag write is a single bool).
     fn poison(&self) {
@@ -241,100 +208,11 @@ impl PoisonBarrier {
         st.poisoned = true;
         self.cv.notify_all();
     }
-}
-
-/// Barrier-coupled snapshot exchange for [`BoundMode::Epoch`].
-///
-/// The double barrier is what makes the protocol deterministic: after
-/// the first rendezvous every worker's epoch-`r` value is visible and
-/// *frozen*; all workers then read the same merged snapshot; the second
-/// rendezvous keeps any fast worker from publishing its epoch-`r+1`
-/// value before a slow worker finished reading epoch `r`.
-///
-/// Every epoch worker must arm a [`panic_guard`](Self::panic_guard)
-/// before its first [`exchange`](Self::exchange): if the worker unwinds,
-/// the guard poisons the underlying [`PoisonBarrier`] so peers panic out
-/// of the protocol instead of hanging on a rendezvous that can never
-/// complete.
-struct EpochSync {
-    barrier: PoisonBarrier,
-    slots: Mutex<EpochSlots>,
-}
-
-/// RAII token tying a worker's participation in an [`EpochSync`] to its
-/// unwind path: dropped during a panic, it poisons the sync's barrier.
-struct EpochPanicGuard<'a> {
-    sync: &'a EpochSync,
-}
-
-impl Drop for EpochPanicGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.sync.barrier.poison();
-        }
-    }
-}
-
-impl EpochSync {
-    fn new(workers: usize) -> Self {
-        Self {
-            barrier: PoisonBarrier::new(workers),
-            slots: Mutex::new(EpochSlots {
-                bounds: vec![usize::MAX; workers],
-                saturated: vec![false; workers],
-                syncs: 0,
-            }),
-        }
-    }
-
-    /// Arms the unwind-to-poison coupling for one worker; hold the guard
-    /// for the whole scan (see the type docs).
-    fn panic_guard(&self) -> EpochPanicGuard<'_> {
-        EpochPanicGuard { sync: self }
-    }
-
-    /// Publishes worker `me`'s state, rendezvouses with every other
-    /// worker, and returns the merged `(min bound, any saturated)`
-    /// snapshot of this boundary. Panics if a peer panicked (see
-    /// [`PoisonBarrier`]).
-    fn exchange(&self, me: usize, bound: usize, saturated: bool) -> (usize, bool) {
-        {
-            let mut slots = locked(&self.slots);
-            slots.bounds[me] = bound;
-            slots.saturated[me] = saturated;
-            slots.syncs += 1;
-        }
-        self.barrier.wait();
-        let snapshot = {
-            let slots = locked(&self.slots);
-            (
-                slots.bounds.iter().copied().min().unwrap_or(usize::MAX),
-                slots.saturated.iter().any(|&s| s),
-            )
-        };
-        self.barrier.wait();
-        snapshot
-    }
 
     /// Boundary exchanges performed so far (summed over workers).
     fn syncs(&self) -> u64 {
-        locked(&self.slots).syncs
+        locked(&self.state).syncs
     }
-}
-
-/// The sub-range of `range` a worker scans in epoch `round`
-/// (saturating: `every` may be `usize::MAX`). Empty once the shard is
-/// exhausted — the worker then only participates in the barriers.
-fn epoch_chunk(range: &Range<usize>, round: usize, every: usize) -> (usize, usize) {
-    let lo = range
-        .start
-        .saturating_add(round.saturating_mul(every))
-        .min(range.end);
-    let hi = range
-        .start
-        .saturating_add(round.saturating_add(1).saturating_mul(every))
-        .min(range.end);
-    (lo, hi)
 }
 
 /// Number of barrier-coupled scan rounds for the given shards: every
@@ -373,7 +251,7 @@ fn epoch_rounds(shards: &[Range<usize>], epoch: usize) -> usize {
 pub struct ParGir<'p, 'a, G: GridTable = Grid> {
     gir: &'a Gir<'a, G>,
     config: ParConfig,
-    /// Persistent execution substrate; `None` scopes fresh threads per
+    /// Persistent execution substrate; `None` opens a one-off pool per
     /// query. The pool's environment lifetime must equal `'a` (the
     /// index borrow) because pooled jobs carry the index reference.
     pool: Option<&'p WorkerPool<'a>>,
@@ -396,17 +274,13 @@ impl<'p, 'a, G: GridTable> ParGir<'p, 'a, G> {
         gir.parallel(config)
     }
 
-    /// Dispatches queries to `pool`'s persistent workers instead of
-    /// scoping fresh threads. The effective worker count becomes
+    /// Dispatches queries to `pool`'s persistent workers instead of a
+    /// one-off pool per query. The effective worker count becomes
     /// `min(config.threads, pool.workers())`; a pool with fewer than two
     /// workers routes queries through the sequential engine (booking
     /// `par.sequential_fallback` on traced runs).
     pub fn with_pool<'q>(self, pool: &'q WorkerPool<'a>) -> ParGir<'q, 'a, G> {
-        ParGir {
-            gir: self.gir,
-            config: self.config,
-            pool: Some(pool),
-        }
+        self.with_pool_opt(Some(pool))
     }
 
     /// [`ParGir::with_pool`] that tolerates an absent pool — handy for
@@ -429,20 +303,8 @@ impl<'p, 'a, G: GridTable> ParGir<'p, 'a, G> {
         self.gir
     }
 
-    /// Effective worker count for a weight set of `nw` entries: never
-    /// more workers than weights (or than the attached pool has), never
-    /// fewer than one.
-    fn effective_threads(&self, nw: usize) -> usize {
-        let mut threads = self.config.threads.max(1).min(nw.max(1));
-        if let Some(pool) = self.pool {
-            threads = threads.min(pool.workers());
-        }
-        threads
-    }
-
     /// Contiguous shard ranges covering `0..nw` — fixed by `(nw,
-    /// threads)` alone, which is what makes local- and epoch-mode
-    /// counters reproducible.
+    /// threads)` alone, which is what makes counters reproducible.
     fn shards(nw: usize, threads: usize) -> Vec<Range<usize>> {
         let chunk = nw.div_ceil(threads);
         (0..threads)
@@ -451,26 +313,121 @@ impl<'p, 'a, G: GridTable> ParGir<'p, 'a, G> {
     }
 }
 
-/// One worker's RTK shard outcome.
-struct RtkShard<S> {
-    members: Vec<WeightId>,
-    stats: QueryStats,
-    /// Worker accumulated `k` dominators (or saw the broadcast): the
-    /// global result is empty.
-    saturated: bool,
-    /// Per-shard explain sink, absorbed by the caller in worker-index
-    /// order ([`NoopSink`] on untraced paths).
-    sink: S,
+/// What every shard job of one query shares. Jobs hold it through an
+/// `Arc`, because an attached pool outlives the query.
+struct ShardJob {
+    q: Vec<f64>,
+    qa: Vec<u8>,
+    k: usize,
+    /// Shard weights scanned per round: `usize::MAX` in local mode.
+    every: usize,
+    /// Rounds every worker runs, idle or not ([`epoch_rounds`]).
+    rounds: usize,
+    sync: EpochSync,
 }
 
-/// One worker's RKR shard outcome: the per-shard k-best heap, its
-/// query counters and its explain sink (absorbed in worker-index order).
-type RkrShard<S> = (KBestHeap, QueryStats, S);
+/// A shard worker: given the query's job, its worker index and its shard,
+/// it returns its answer, counters and explain sink ([`NoopSink`] on
+/// untraced paths).
+type ShardFn<G, A, S> = fn(&Gir<'_, G>, &ShardJob, usize, Range<usize>) -> (A, QueryStats, S);
 
 impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
-    /// Parallel GIRTop-k over a `Sync` recorder (monomorphised to
-    /// [`NoopRecorder`] by the untraced entry point).
-    fn rtk_par<R: Recorder + Sync + ?Sized, S: ExplainSink + Default + Send + 'a>(
+    /// The shards of a parallel query, after the sequential engine's
+    /// checks and explain header; `None` when the sequential engine answers
+    /// it on the calling thread instead: at `k == 0`, or when one worker
+    /// would answer it alone (`threads ≤ 1`, one weight, or a pool of < 2
+    /// workers).
+    fn begin<R: Recorder + ?Sized, S: ExplainSink>(
+        &self,
+        kind: ExplainKind,
+        q: &[f64],
+        k: usize,
+        rec: &R,
+        sink: &mut S,
+    ) -> Option<Vec<Range<usize>>> {
+        let (gir, nw) = (self.gir, self.gir.total_weights());
+        let mut threads = self.config.threads.max(1).min(nw.max(1));
+        if let Some(pool) = self.pool {
+            threads = threads.min(pool.workers());
+        }
+        if threads <= 1 && self.pool.is_some() {
+            rec.add_count("par.sequential_fallback", 1);
+        }
+        if threads <= 1 || k == 0 {
+            return None;
+        }
+        assert_eq!(q.len(), gir.points_ref().dim(), "query dimensionality");
+        if sink.enabled() {
+            let partitions = gir.grid().partitions() as u64;
+            sink.begin_query(kind, q, k as u64, partitions);
+        }
+        Some(Self::shards(nw, threads))
+    }
+
+    /// Quantises `q` and runs `work` on every shard, on the attached pool
+    /// or a one-off [`pool_scope`]; merges the shards' counters and sinks
+    /// in worker order, books `par.pool_reuse` and `par.epoch_syncs`, and
+    /// returns the shards' answers.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch<R: Recorder + ?Sized, A: Send + 'a, S: ExplainSink + Send + 'a>(
+        &self,
+        q: &[f64],
+        k: usize,
+        shards: Vec<Range<usize>>,
+        stats: &mut QueryStats,
+        rec: &R,
+        sink: &mut S,
+        work: ShardFn<G, A, S>,
+    ) -> Vec<A> {
+        let gir = self.gir;
+        let qa = timed_leaf(rec, "quantize", || {
+            ApproxVectors::quantize_point(gir.grid(), q)
+        });
+        let every = match self.config.mode {
+            BoundMode::Local => usize::MAX,
+            BoundMode::Epoch(every) => every.max(1),
+        };
+        let (threads, rounds) = (shards.len(), epoch_rounds(&shards, every));
+        let job = Arc::new(ShardJob {
+            q: q.to_vec(),
+            qa,
+            k,
+            every,
+            rounds,
+            sync: EpochSync::new(threads),
+        });
+        let run = |pool: &WorkerPool<'a>| {
+            let jobs = shards.into_iter().enumerate().map(|(me, range)| {
+                let job = Arc::clone(&job);
+                Box::new(move || work(gir, &job, me, range)) as Box<dyn FnOnce() -> _ + Send + 'a>
+            });
+            pool.run(jobs.collect())
+        };
+        let reused = self.pool.is_some_and(|pool| pool.stats().queries > 0);
+        let out = match self.pool {
+            Some(pool) => run(pool),
+            None => pool_scope(threads, run),
+        }
+        .unwrap_or_else(|err| panic!("parallel query failed on the worker pool: {err}"));
+        if reused {
+            rec.add_count("par.pool_reuse", 1);
+        }
+        let syncs = job.sync.syncs();
+        if syncs > 0 {
+            rec.add_count("par.epoch_syncs", syncs);
+        }
+        out.into_iter()
+            .map(|(answer, shard_stats, shard_sink)| {
+                stats.merge(&shard_stats);
+                sink.absorb(shard_sink);
+                answer
+            })
+            .collect()
+    }
+
+    /// Parallel GIRTop-k, generic over the caller's recorder (see
+    /// [`Gir::rtk_impl`]).
+    fn rtk_par<R: Recorder + ?Sized, S: ExplainSink + Default + Send + 'a>(
         &self,
         q: &[f64],
         k: usize,
@@ -478,56 +435,15 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
         rec: &R,
         sink: &mut S,
     ) -> RtkResult {
-        let gir = self.gir;
-        let nw = gir.total_weights();
-        let threads = self.effective_threads(nw);
-        if threads <= 1 {
-            if self.pool.is_some() {
-                rec.add_count("par.sequential_fallback", 1);
-            }
-            return gir.rtk_impl(q, k, stats, rec, sink);
-        }
-        assert_eq!(q.len(), gir.points_ref().dim(), "query dimensionality");
-        if k == 0 {
-            return RtkResult::default();
-        }
-        if sink.enabled() {
-            sink.begin_query(
-                ExplainKind::Rtk,
-                q,
-                k as u64,
-                gir.grid().partitions() as u64,
-            );
-        }
-        let _query = span(rec, "rtk");
-        let qa = timed_leaf(rec, "quantize", || {
-            ApproxVectors::quantize_point(gir.grid(), q)
-        });
-        let shards = Self::shards(nw, threads);
-        let mode = self.config.mode;
-        let (shard_results, epoch_syncs) = match self.pool {
-            Some(pool) => {
-                let reused = pool.stats().queries > 0;
-                let out = rtk_on_pool::<G, S>(pool, gir, q, &qa, k, shards, mode);
-                if reused {
-                    rec.add_count("par.pool_reuse", 1);
-                }
-                out
-            }
-            None => rtk_on_scope(gir, q, &qa, k, shards, mode, rec),
+        let Some(shards) = self.begin(ExplainKind::Rtk, q, k, rec, sink) else {
+            return self.gir.rtk_impl(q, k, stats, rec, sink);
         };
-        if epoch_syncs > 0 {
-            rec.add_count("par.epoch_syncs", epoch_syncs);
-        }
-        // Merge in worker-index order: counters reproducible, result
-        // canonical.
-        let mut members = Vec::new();
-        let mut empty = false;
-        for shard in shard_results {
-            stats.merge(&shard.stats);
-            empty |= shard.saturated;
-            members.extend_from_slice(&shard.members);
-            sink.absorb(shard.sink);
+        let _query = span(rec, "rtk");
+        let (mut members, mut empty) = (Vec::new(), false);
+        for (shard, saturated) in self.dispatch(q, k, shards, stats, rec, sink, rtk_worker::<G, S>)
+        {
+            members.extend(shard);
+            empty |= saturated;
         }
         if empty {
             // Saturation empties the result globally; drop shard-recorded
@@ -538,8 +454,8 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
         RtkResult::from_weights(members)
     }
 
-    /// Parallel GIRk-Rank over a `Sync` recorder.
-    fn rkr_par<R: Recorder + Sync + ?Sized, S: ExplainSink + Default + Send + 'a>(
+    /// Parallel GIRk-Rank, generic over the caller's recorder.
+    fn rkr_par<R: Recorder + ?Sized, S: ExplainSink + Default + Send + 'a>(
         &self,
         q: &[f64],
         k: usize,
@@ -547,49 +463,13 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
         rec: &R,
         sink: &mut S,
     ) -> RkrResult {
-        let gir = self.gir;
-        let nw = gir.total_weights();
-        let threads = self.effective_threads(nw);
-        if threads <= 1 {
-            if self.pool.is_some() {
-                rec.add_count("par.sequential_fallback", 1);
-            }
-            return gir.rkr_impl(q, k, stats, rec, sink);
-        }
-        assert_eq!(q.len(), gir.points_ref().dim(), "query dimensionality");
-        if sink.enabled() {
-            sink.begin_query(
-                ExplainKind::Rkr,
-                q,
-                k as u64,
-                gir.grid().partitions() as u64,
-            );
-        }
-        let _query = span(rec, "rkr");
-        let qa = timed_leaf(rec, "quantize", || {
-            ApproxVectors::quantize_point(gir.grid(), q)
-        });
-        let shards = Self::shards(nw, threads);
-        let mode = self.config.mode;
-        let (shard_results, epoch_syncs) = match self.pool {
-            Some(pool) => {
-                let reused = pool.stats().queries > 0;
-                let out = rkr_on_pool::<G, S>(pool, gir, q, &qa, k, shards, mode);
-                if reused {
-                    rec.add_count("par.pool_reuse", 1);
-                }
-                out
-            }
-            None => rkr_on_scope(gir, q, &qa, k, shards, mode, rec),
+        let Some(shards) = self.begin(ExplainKind::Rkr, q, k, rec, sink) else {
+            return self.gir.rkr_impl(q, k, stats, rec, sink);
         };
-        if epoch_syncs > 0 {
-            rec.add_count("par.epoch_syncs", epoch_syncs);
-        }
+        let _query = span(rec, "rkr");
         let mut heap = KBestHeap::new(k);
-        for (shard_heap, shard_stats, shard_sink) in shard_results {
-            stats.merge(&shard_stats);
-            heap.merge(shard_heap);
-            sink.absorb(shard_sink);
+        for shard in self.dispatch(q, k, shards, stats, rec, sink, rkr_worker::<G, S>) {
+            heap.merge(shard);
         }
         let result = heap.into_result();
         if sink.enabled() {
@@ -604,9 +484,7 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
 
     /// Parallel GIRTop-k with full pruning provenance (see
     /// [`Gir::reverse_top_k_explained`]). Shard sinks merge in
-    /// worker-index order, so local- and epoch-mode documents are
-    /// reproducible run to run; shared-atomic mode is honestly
-    /// scheduling-dependent and its documents may differ.
+    /// worker-index order, so documents are reproducible run to run.
     pub fn reverse_top_k_explained(
         &self,
         q: &[f64],
@@ -635,7 +513,6 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
         doc.set_engine("ParGir");
         doc.push_config("threads", &self.config.threads.to_string());
         let mode = match self.config.mode {
-            BoundMode::Shared => "shared".to_string(),
             BoundMode::Local => "local".to_string(),
             BoundMode::Epoch(every) => format!("epoch({every})"),
         };
@@ -646,590 +523,78 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
     }
 }
 
-/// Runs the RTK shard workers on fresh scoped threads.
-fn rtk_on_scope<
-    G: GridTable + Sync,
-    R: Recorder + Sync + ?Sized,
-    S: ExplainSink + Default + Send,
->(
+/// RTK shard worker: [`Gir::rtk_scan`] over the shard, `every` ids per
+/// round, exchanging saturation between rounds. Every worker runs the
+/// same `rounds` count (idling once its shard is exhausted or saturated),
+/// so the barriers always pair up; when a boundary snapshot reports
+/// saturation, *all* workers see it at the same round and stop together,
+/// which keeps counters deterministic.
+fn rtk_worker<G: GridTable, S: ExplainSink + Default>(
     gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-    rec: &R,
-) -> (Vec<RtkShard<S>>, u64) {
-    let flag = AtomicBool::new(false);
-    let sync = EpochSync::new(shards.len());
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let out: Vec<RtkShard<S>> = thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(me, range)| {
-                let (flag, sync) = (&flag, &sync);
-                s.spawn(move || match mode {
-                    BoundMode::Shared => rtk_worker(gir, q, qa, k, range, Some(flag), rec),
-                    BoundMode::Local => rtk_worker(gir, q, qa, k, range, None, rec),
-                    BoundMode::Epoch(every) => {
-                        rtk_worker_epoch(gir, q, qa, k, range, me, sync, every, rounds, rec)
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // rrq-lint: allow(no-unwrap-in-lib) -- a panicked worker already poisoned the query; re-raise it
-            .map(|h| h.join().expect("parallel RTK worker panicked"))
-            .collect()
-    });
-    (out, sync.syncs())
-}
-
-/// Runs the RTK shard workers on a persistent pool. Jobs own their
-/// per-query state (the pool may outlive it) and run untraced — the
-/// caller books pool-level counters on its own recorder.
-fn rtk_on_pool<'env, G: GridTable + Sync, S: ExplainSink + Default + Send + 'env>(
-    pool: &WorkerPool<'env>,
-    gir: &'env Gir<'env, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-) -> (Vec<RtkShard<S>>, u64) {
-    let workers = shards.len();
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let flag = Arc::new(AtomicBool::new(false));
-    let sync = Arc::new(EpochSync::new(workers));
-    let jobs: Vec<Box<dyn FnOnce() -> RtkShard<S> + Send + 'env>> = shards
-        .into_iter()
-        .enumerate()
-        .map(|(me, range)| {
-            let q = q.to_vec();
-            let qa = qa.to_vec();
-            let flag = Arc::clone(&flag);
-            let sync = Arc::clone(&sync);
-            let job: Box<dyn FnOnce() -> RtkShard<S> + Send + 'env> =
-                Box::new(move || match mode {
-                    BoundMode::Shared => {
-                        rtk_worker(gir, &q, &qa, k, range, Some(&flag), &NoopRecorder)
-                    }
-                    BoundMode::Local => rtk_worker(gir, &q, &qa, k, range, None, &NoopRecorder),
-                    BoundMode::Epoch(every) => rtk_worker_epoch(
-                        gir,
-                        &q,
-                        &qa,
-                        k,
-                        range,
-                        me,
-                        &sync,
-                        every,
-                        rounds,
-                        &NoopRecorder,
-                    ),
-                });
-            job
-        })
-        .collect();
-    let out = match pool.run(jobs) {
-        Ok(shards) => shards,
-        Err(err) => panic!("parallel RTK query failed on the worker pool: {err}"),
-    };
-    (out, sync.syncs())
-}
-
-/// Runs the RKR shard workers on fresh scoped threads.
-fn rkr_on_scope<
-    G: GridTable + Sync,
-    R: Recorder + Sync + ?Sized,
-    S: ExplainSink + Default + Send,
->(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-    rec: &R,
-) -> (Vec<RkrShard<S>>, u64) {
-    let min_rank = AtomicUsize::new(usize::MAX);
-    let sync = EpochSync::new(shards.len());
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let out: Vec<(KBestHeap, QueryStats, S)> = thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(me, range)| {
-                let (min_rank, sync) = (&min_rank, &sync);
-                s.spawn(move || match mode {
-                    BoundMode::Shared => rkr_worker(gir, q, qa, k, range, Some(min_rank), rec),
-                    BoundMode::Local => rkr_worker(gir, q, qa, k, range, None, rec),
-                    BoundMode::Epoch(every) => {
-                        rkr_worker_epoch(gir, q, qa, k, range, me, sync, every, rounds, rec)
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // rrq-lint: allow(no-unwrap-in-lib) -- a panicked worker already poisoned the query; re-raise it
-            .map(|h| h.join().expect("parallel RKR worker panicked"))
-            .collect()
-    });
-    (out, sync.syncs())
-}
-
-/// Runs the RKR shard workers on a persistent pool (see
-/// [`rtk_on_pool`] for the ownership contract).
-fn rkr_on_pool<'env, G: GridTable + Sync, S: ExplainSink + Default + Send + 'env>(
-    pool: &WorkerPool<'env>,
-    gir: &'env Gir<'env, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-) -> (Vec<RkrShard<S>>, u64) {
-    let workers = shards.len();
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let min_rank = Arc::new(AtomicUsize::new(usize::MAX));
-    let sync = Arc::new(EpochSync::new(workers));
-    let jobs: Vec<Box<dyn FnOnce() -> RkrShard<S> + Send + 'env>> = shards
-        .into_iter()
-        .enumerate()
-        .map(|(me, range)| {
-            let q = q.to_vec();
-            let qa = qa.to_vec();
-            let min_rank = Arc::clone(&min_rank);
-            let sync = Arc::clone(&sync);
-            let job: Box<dyn FnOnce() -> RkrShard<S> + Send + 'env> =
-                Box::new(move || match mode {
-                    BoundMode::Shared => {
-                        rkr_worker(gir, &q, &qa, k, range, Some(&min_rank), &NoopRecorder)
-                    }
-                    BoundMode::Local => rkr_worker(gir, &q, &qa, k, range, None, &NoopRecorder),
-                    BoundMode::Epoch(every) => rkr_worker_epoch(
-                        gir,
-                        &q,
-                        &qa,
-                        k,
-                        range,
-                        me,
-                        &sync,
-                        every,
-                        rounds,
-                        &NoopRecorder,
-                    ),
-                });
-            job
-        })
-        .collect();
-    let out = match pool.run(jobs) {
-        Ok(shards) => shards,
-        Err(err) => panic!("parallel RKR query failed on the worker pool: {err}"),
-    };
-    (out, sync.syncs())
-}
-
-/// Per-worker mutable state of an RTK scan.
-struct RtkState<S> {
-    domin: DominBuffer,
-    scratch: Scratch,
-    w_scratch: Vec<u8>,
-    stats: QueryStats,
-    members: Vec<WeightId>,
-    sink: S,
-}
-
-impl<S: ExplainSink + Default> RtkState<S> {
-    fn new<G: GridTable>(gir: &Gir<'_, G>) -> Self {
-        let dim = gir.points_ref().dim();
-        Self {
-            domin: DominBuffer::new(gir.total_points()),
-            scratch: Scratch::new(dim),
-            w_scratch: vec![0u8; dim],
-            stats: QueryStats::default(),
-            members: Vec::new(),
-            sink: S::default(),
-        }
-    }
-}
-
-/// Scans `wids` for RTK membership (Alg. 2 body). Returns `true` when
-/// the scan saturated — locally (`k` dominators) or through the
-/// shared-mode broadcast `flag`.
-#[allow(clippy::too_many_arguments)]
-fn rtk_scan_chunk<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    wids: Range<usize>,
-    flag: Option<&AtomicBool>,
-    state: &mut RtkState<S>,
-    rec: &R,
-) -> bool {
-    for wid in wids {
-        if let Some(f) = flag {
-            // ORDERING: relaxed — the saturation flag is an optimisation
-            // hint; a stale read only means scanning a few extra weights.
-            if f.load(Ordering::Relaxed) {
-                // Another shard proved the global result empty.
-                if state.sink.enabled() {
-                    state
-                        .sink
-                        .bound_event(BoundSource::SharedAtomic, wid as u64, k as u64, true);
-                }
-                return true;
-            }
-        }
-        if !gir.admit_weight(wid, &mut state.stats, &mut state.sink) {
-            continue;
-        }
-        state.stats.weights_visited += 1;
-        if state.sink.enabled() {
-            state.sink.weight(wid as u64);
-        }
-        let w = gir.weight_data(wid);
-        let wa = gir.w_approx_row(wid, &mut state.w_scratch);
-        let fq = dot_counted(w, q, &mut state.stats);
-        if let Some(ti) = gir.threshold_index() {
-            // Same short-circuit as the sequential scan: membership
-            // decided by one comparison against the materialized k-th
-            // score; only straddling candidates fall into gin_rank.
-            match ti.decide_rtk(wid, k, fq) {
-                RtkThresholdOutcome::Member => {
-                    state.stats.threshold_hits += 1;
-                    if state.sink.enabled() {
-                        state.sink.threshold_hit(wid as u64, true);
-                        state.sink.result(wid as u64, RANK_CERTIFIED);
-                    }
-                    state.members.push(WeightId(wid));
-                    continue;
-                }
-                RtkThresholdOutcome::NonMember => {
-                    state.stats.threshold_hits += 1;
-                    if state.sink.enabled() {
-                        state.sink.threshold_hit(wid as u64, false);
-                    }
-                    continue;
-                }
-                RtkThresholdOutcome::Straddle => {}
-            }
-        }
-        if let Some(rank) = gir.gin_rank(
-            wa,
-            w,
-            qa,
-            fq,
-            k - 1,
-            &mut state.domin,
-            &mut state.scratch,
-            &mut state.stats,
-            rec,
-            &mut state.sink,
-        ) {
-            debug_assert!(rank < k);
-            if state.sink.enabled() {
-                state.sink.result(wid as u64, rank as u64);
-            }
-            state.members.push(WeightId(wid));
-        }
-        // Alg. 2 lines 7–8, shard-locally: `Domin` membership depends
-        // only on `(p, q)`, so `k` dominators empty the global result.
-        if state.domin.len() >= k {
-            if state.sink.enabled() {
-                state.sink.bound_event(
-                    BoundSource::LocalScan,
-                    wid as u64,
-                    state.domin.len() as u64,
-                    true,
-                );
-            }
-            if let Some(f) = flag {
-                // ORDERING: relaxed — broadcast of a sticky hint; readers
-                // tolerate missing it (see the load above).
-                f.store(true, Ordering::Relaxed);
-            }
-            return true;
-        }
-    }
-    false
-}
-
-/// Scans one contiguous shard of `W` for RTK membership. `flag` is the
-/// cross-shard saturation broadcast of shared-bound mode; local mode
-/// passes `None`.
-fn rtk_worker<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    range: Range<usize>,
-    flag: Option<&AtomicBool>,
-    rec: &R,
-) -> RtkShard<S> {
-    let _scan = span(rec, "scan");
-    let mut state = RtkState::<S>::new(gir);
-    let saturated = rtk_scan_chunk(gir, q, qa, k, range, flag, &mut state, rec);
-    RtkShard {
-        members: state.members,
-        stats: state.stats,
-        saturated,
-        sink: state.sink,
-    }
-}
-
-/// Epoch-snapshot RTK shard worker: scan `every` weights, then exchange
-/// saturation through the barrier-coupled `sync`. Every worker runs the
-/// same `rounds` count (idling once its shard is exhausted or
-/// saturated), so the barriers always pair up; when a boundary snapshot
-/// reports saturation, *all* workers observe it at the same round and
-/// stop uniformly — which is what keeps counters deterministic.
-#[allow(clippy::too_many_arguments)]
-fn rtk_worker_epoch<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    range: Range<usize>,
+    job: &ShardJob,
     me: usize,
-    sync: &EpochSync,
-    every: usize,
-    rounds: usize,
-    rec: &R,
-) -> RtkShard<S> {
-    let _scan = span(rec, "scan");
+    range: Range<usize>,
+) -> ((Vec<WeightId>, bool), QueryStats, S) {
     // If this worker panics anywhere in the scan, poison the sync so
     // barrier peers unwind too instead of hanging (see EpochSync docs).
-    let _poison_on_unwind = sync.panic_guard();
-    let every = every.max(1);
-    let mut state = RtkState::<S>::new(gir);
-    let mut saturated = false;
-    for round in 0..rounds {
+    let _poison_on_unwind = job.sync.panic_guard();
+    let (mut stats, mut sink) = (QueryStats::default(), S::default());
+    let mut st = ScanState::new(gir, &job.q, &job.qa, &mut stats, &mut sink);
+    let mut members = Vec::new();
+    let (mut lo, mut saturated) = (range.start, false);
+    for round in 0..job.rounds {
         if !saturated {
-            let (lo, hi) = epoch_chunk(&range, round, every);
-            saturated = rtk_scan_chunk(gir, q, qa, k, lo..hi, None, &mut state, rec);
+            let hi = lo.saturating_add(job.every).min(range.end);
+            saturated = gir.rtk_scan(job.k, lo..hi, &mut st, &mut members, &NoopRecorder);
+            lo = hi;
         }
-        if round + 1 < rounds {
-            let (_, any_saturated) = sync.exchange(me, usize::MAX, saturated);
-            if any_saturated {
-                // Uniform early exit: every worker sees the same
-                // snapshot at the same boundary.
-                if !saturated && state.sink.enabled() {
-                    state.sink.bound_event(
-                        BoundSource::EpochExchange,
-                        round as u64,
-                        state.domin.len() as u64,
-                        true,
-                    );
-                }
-                saturated = true;
-                break;
+        if round + 1 < job.rounds && job.sync.exchange(me, usize::MAX, saturated).1 {
+            if !saturated && st.sink.enabled() {
+                let (source, at) = (BoundSource::EpochExchange, round as u64);
+                st.sink.bound_event(source, at, st.domin.len() as u64, true);
             }
+            saturated = true;
+            break;
         }
     }
-    RtkShard {
-        members: state.members,
-        stats: state.stats,
-        saturated,
-        sink: state.sink,
-    }
+    ((members, saturated), stats, sink)
 }
 
-/// Per-worker mutable state of an RKR scan.
-struct RkrState<S> {
-    domin: DominBuffer,
-    scratch: Scratch,
-    w_scratch: Vec<u8>,
-    stats: QueryStats,
-    heap: KBestHeap,
-    sink: S,
-}
-
-impl<S: ExplainSink + Default> RkrState<S> {
-    fn new<G: GridTable>(gir: &Gir<'_, G>, k: usize) -> Self {
-        let dim = gir.points_ref().dim();
-        Self {
-            domin: DominBuffer::new(gir.total_points()),
-            scratch: Scratch::new(dim),
-            w_scratch: vec![0u8; dim],
-            stats: QueryStats::default(),
-            heap: KBestHeap::new(k),
-            sink: S::default(),
-        }
-    }
-}
-
-/// Scans `wids` for RKR candidates (Alg. 3 body). `shared` is the live
-/// atomic bound of shared mode; `frozen_bound` is the epoch snapshot
-/// (use `usize::MAX` when absent). Both only ever *tighten* the local
-/// heap threshold, which alone is already sound.
-#[allow(clippy::too_many_arguments)]
-fn rkr_scan_chunk<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink>(
+/// RKR shard worker: [`Gir::rkr_order`] over the shard, then
+/// [`Gir::rkr_scan`] over `every` positions of that order per round under
+/// the frozen snapshot of the merged cross-shard bound. Between rounds it
+/// publishes its heap threshold and adopts the new snapshot, whose
+/// minimum is a sound global bound (each threshold is ≥ the global k-th
+/// rank).
+fn rkr_worker<G: GridTable, S: ExplainSink + Default>(
     gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    wids: Range<usize>,
-    shared: Option<&AtomicUsize>,
-    frozen_bound: usize,
-    state: &mut RkrState<S>,
-    rec: &R,
-) {
-    for wid in wids {
-        if !gir.admit_weight(wid, &mut state.stats, &mut state.sink) {
-            continue;
-        }
-        state.stats.weights_visited += 1;
-        if state.sink.enabled() {
-            state.sink.weight(wid as u64);
-        }
-        let w = gir.weight_data(wid);
-        let wa = gir.w_approx_row(wid, &mut state.w_scratch);
-        let fq = dot_counted(w, q, &mut state.stats);
-        // The local heap threshold alone is already sound (a shard's
-        // k-best threshold is never below the global k-th rank); the
-        // shared/frozen bound only tightens it further.
-        let mut bound = state.heap.threshold().min(frozen_bound);
-        if let Some(m) = shared {
-            // ORDERING: relaxed — the shared bound only tightens pruning;
-            // a stale value is still a sound (looser) bound.
-            let published = m.load(Ordering::Relaxed);
-            if published < bound {
-                if state.sink.enabled() {
-                    state.sink.bound_event(
-                        BoundSource::SharedAtomic,
-                        wid as u64,
-                        published as u64,
-                        false,
-                    );
-                }
-                bound = published;
-            }
-        }
-        if let Some(ti) = gir.threshold_index() {
-            // Same certification as the sequential scan, against the
-            // exact bound this shard would have scanned with: the heap
-            // never sees the weight either way.
-            if ti.certifies_rank_above(wid, bound, fq) {
-                state.stats.threshold_hits += 1;
-                if state.sink.enabled() {
-                    state.sink.threshold_hit(wid as u64, false);
-                }
-                continue;
-            }
-        }
-        if let Some(rank) = gir.gin_rank(
-            wa,
-            w,
-            qa,
-            fq,
-            bound,
-            &mut state.domin,
-            &mut state.scratch,
-            &mut state.stats,
-            rec,
-            &mut state.sink,
-        ) {
-            timed_leaf(rec, "heap", || state.heap.offer(rank, WeightId(wid)));
-            if state.sink.enabled() {
-                // Local `minRank` tightening (Alg. 3), same event the
-                // sequential engine records.
-                let after = state.heap.threshold();
-                if after < bound {
-                    state
-                        .sink
-                        .bound_event(BoundSource::LocalScan, wid as u64, after as u64, false);
-                }
-            }
-            if let Some(m) = shared {
-                if state.heap.is_full() {
-                    // ORDERING: relaxed — monotone min; any interleaving
-                    // leaves a valid bound.
-                    m.fetch_min(state.heap.threshold(), Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
-/// Scans one contiguous shard of `W` for RKR candidates. `shared` is
-/// the cross-shard `minRank` bound of shared-bound mode; local mode
-/// passes `None`.
-fn rkr_worker<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    range: Range<usize>,
-    shared: Option<&AtomicUsize>,
-    rec: &R,
-) -> (KBestHeap, QueryStats, S) {
-    let _scan = span(rec, "scan");
-    let mut state = RkrState::<S>::new(gir, k);
-    rkr_scan_chunk(gir, q, qa, range, shared, usize::MAX, &mut state, rec);
-    (state.heap, state.stats, state.sink)
-}
-
-/// Epoch-snapshot RKR shard worker: scan `every` weights under the
-/// frozen snapshot of the merged cross-shard bound, publish the local
-/// heap threshold, rendezvous, and adopt the refreshed snapshot. The
-/// merged minimum over all published local thresholds is a sound global
-/// bound (every local threshold is ≥ the global k-th rank), and because
-/// the exchange happens at data-determined boundaries the bound in
-/// effect at every single weight is reproducible.
-#[allow(clippy::too_many_arguments)]
-fn rkr_worker_epoch<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    range: Range<usize>,
+    job: &ShardJob,
     me: usize,
-    sync: &EpochSync,
-    every: usize,
-    rounds: usize,
-    rec: &R,
+    range: Range<usize>,
 ) -> (KBestHeap, QueryStats, S) {
-    let _scan = span(rec, "scan");
-    // Unwind-to-poison coupling, same as the RTK epoch worker.
-    let _poison_on_unwind = sync.panic_guard();
-    let every = every.max(1);
-    let mut state = RkrState::<S>::new(gir, k);
-    let mut frozen_bound = usize::MAX;
-    for round in 0..rounds {
-        let (lo, hi) = epoch_chunk(&range, round, every);
-        rkr_scan_chunk(gir, q, qa, lo..hi, None, frozen_bound, &mut state, rec);
-        if round + 1 < rounds {
-            let (min_bound, _) = sync.exchange(me, state.heap.threshold(), false);
-            if state.sink.enabled() && min_bound < frozen_bound {
+    // Unwind-to-poison coupling, same as the RTK worker.
+    let _poison_on_unwind = job.sync.panic_guard();
+    let (mut stats, mut sink) = (QueryStats::default(), S::default());
+    let mut st = ScanState::new(gir, &job.q, &job.qa, &mut stats, &mut sink);
+    let mut heap = KBestHeap::new(job.k);
+    let order = gir.rkr_order(range, &mut st);
+    let (mut lo, mut frozen) = (0usize, usize::MAX);
+    for round in 0..job.rounds {
+        let hi = lo.saturating_add(job.every).min(order.len());
+        gir.rkr_scan(&order, lo..hi, frozen, &mut heap, &mut st, &NoopRecorder);
+        lo = hi;
+        if round + 1 < job.rounds {
+            let (bound, _) = job.sync.exchange(me, heap.threshold(), false);
+            if st.sink.enabled() && bound < frozen {
                 // The epoch snapshot tightened: deterministic, recorded
                 // against the round number rather than a single weight.
-                state.sink.bound_event(
-                    BoundSource::EpochExchange,
-                    round as u64,
-                    min_bound as u64,
-                    false,
-                );
+                let (source, at) = (BoundSource::EpochExchange, round as u64);
+                st.sink.bound_event(source, at, bound as u64, false);
             }
-            frozen_bound = min_bound;
+            frozen = bound;
         }
     }
-    (state.heap, state.stats, state.sink)
+    (heap, stats, sink)
 }
 
 impl<G: GridTable + Sync> RtkQuery for ParGir<'_, '_, G> {
@@ -1251,13 +616,7 @@ impl<G: GridTable + Sync> RtkQuery for ParGir<'_, '_, G> {
         stats: &mut QueryStats,
         rec: &dyn Recorder,
     ) -> RtkResult {
-        match rec.as_sync() {
-            Some(sync_rec) => self.rtk_par(q, k, stats, sync_rec, &mut NoopSink),
-            None => {
-                rec.add_count("par.sequential_fallback", 1);
-                self.gir.rtk_impl(q, k, stats, rec, &mut NoopSink)
-            }
-        }
+        self.rtk_par(q, k, stats, rec, &mut NoopSink)
     }
 }
 
@@ -1277,13 +636,7 @@ impl<G: GridTable + Sync> RkrQuery for ParGir<'_, '_, G> {
         stats: &mut QueryStats,
         rec: &dyn Recorder,
     ) -> RkrResult {
-        match rec.as_sync() {
-            Some(sync_rec) => self.rkr_par(q, k, stats, sync_rec, &mut NoopSink),
-            None => {
-                rec.add_count("par.sequential_fallback", 1);
-                self.gir.rkr_impl(q, k, stats, rec, &mut NoopSink)
-            }
-        }
+        self.rkr_par(q, k, stats, rec, &mut NoopSink)
     }
 }
 
@@ -1291,7 +644,7 @@ impl<G: GridTable + Sync> RkrQuery for ParGir<'_, '_, G> {
 mod tests {
     use super::*;
     use crate::gir::GirConfig;
-    use crate::pool::pool_scope;
+    use crate::threshold::ThresholdIndex;
     use rrq_data::synthetic;
     use rrq_obs::{MetricsRecorder, SharedRecorder};
     use rrq_types::{PointId, PointSet, WeightSet};
@@ -1323,14 +676,13 @@ mod tests {
 
     fn par_modes() -> Vec<ParConfig> {
         vec![
-            ParConfig::with_threads(2),
-            ParConfig::with_threads(4),
+            ParConfig::deterministic(2),
             ParConfig::deterministic(3),
             ParConfig::deterministic(4),
             ParConfig::epoch(3, 1),
             ParConfig::epoch(4, 16),
             ParConfig::epoch(2, usize::MAX), // one round: equals Local
-            ParConfig::with_threads(1),      // sequential delegation
+            ParConfig::deterministic(1),     // sequential delegation
         ]
     }
 
@@ -1423,7 +775,7 @@ mod tests {
         let gir = Gir::with_defaults(&p, &w);
         let q = p.point(PointId(7)).to_vec();
         for threads in [0usize, 1] {
-            let par = gir.parallel(ParConfig::with_threads(threads));
+            let par = gir.parallel(ParConfig::deterministic(threads));
             let mut sp = QueryStats::default();
             let mut ss = QueryStats::default();
             assert_eq!(
@@ -1438,7 +790,7 @@ mod tests {
     fn more_workers_than_weights() {
         let (p, w) = workload(3, 150, 5, 34);
         let gir = Gir::with_defaults(&p, &w);
-        let par = gir.parallel(ParConfig::with_threads(16));
+        let par = gir.parallel(ParConfig::deterministic(16));
         let q = p.point(PointId(75)).to_vec();
         let mut sp = QueryStats::default();
         let mut ss = QueryStats::default();
@@ -1459,8 +811,8 @@ mod tests {
         let (p, w) = workload(3, 500, 50, 35);
         let gir = Gir::with_defaults(&p, &w);
         for par_cfg in [
-            ParConfig::with_threads(4),
             ParConfig::deterministic(4),
+            ParConfig::epoch(4, 1),
             ParConfig::epoch(4, 4),
         ] {
             let par = gir.parallel(par_cfg);
@@ -1493,38 +845,36 @@ mod tests {
 
     #[test]
     fn pooled_engine_matches_scoped_engine_exactly() {
+        // An engine without an attached pool opens a one-off pool per
+        // query; it books exactly the counters of an attached pool.
         let (p, w) = workload(4, 300, 90, 39);
         let gir = Gir::with_defaults(&p, &w);
         let q = p.point(PointId(42)).to_vec();
         for par_cfg in [
-            ParConfig::with_threads(3),
             ParConfig::deterministic(3),
+            ParConfig::epoch(3, 1),
             ParConfig::epoch(3, 8),
         ] {
             pool_scope(3, |pool| {
-                let scoped = gir.parallel(par_cfg);
+                let unattached = gir.parallel(par_cfg);
                 let pooled = gir.parallel(par_cfg).with_pool(pool);
                 for k in [1usize, 7, 30] {
                     let mut sp = QueryStats::default();
-                    let mut ss = QueryStats::default();
+                    let mut su = QueryStats::default();
                     assert_eq!(
                         pooled.reverse_top_k(&q, k, &mut sp),
-                        scoped.reverse_top_k(&q, k, &mut ss),
+                        unattached.reverse_top_k(&q, k, &mut su),
                         "rtk {par_cfg:?} k={k}"
                     );
-                    if par_cfg.mode != BoundMode::Shared {
-                        assert_eq!(sp, ss, "rtk counters {par_cfg:?} k={k}");
-                    }
+                    assert_eq!(sp, su, "rtk counters {par_cfg:?} k={k}");
                     let mut sp = QueryStats::default();
-                    let mut ss = QueryStats::default();
+                    let mut su = QueryStats::default();
                     assert_eq!(
                         pooled.reverse_k_ranks(&q, k, &mut sp),
-                        scoped.reverse_k_ranks(&q, k, &mut ss),
+                        unattached.reverse_k_ranks(&q, k, &mut su),
                         "rkr {par_cfg:?} k={k}"
                     );
-                    if par_cfg.mode != BoundMode::Shared {
-                        assert_eq!(sp, ss, "rkr counters {par_cfg:?} k={k}");
-                    }
+                    assert_eq!(sp, su, "rkr counters {par_cfg:?} k={k}");
                 }
             });
         }
@@ -1558,7 +908,7 @@ mod tests {
         let q = p.point(PointId(3)).to_vec();
         for workers in [0usize, 1] {
             pool_scope(workers, |pool| {
-                let par = gir.parallel(ParConfig::with_threads(4)).with_pool(pool);
+                let par = gir.parallel(ParConfig::deterministic(4)).with_pool(pool);
                 let rec = SharedRecorder::new();
                 let mut sp = QueryStats::default();
                 let mut ss = QueryStats::default();
@@ -1571,8 +921,21 @@ mod tests {
         }
     }
 
+    /// The top-level phases of a recorded tree, with their children.
+    fn phase_names(tree: &rrq_obs::SpanTree) -> Vec<(String, Vec<String>)> {
+        tree.roots
+            .iter()
+            .map(|n| {
+                let children = n.children.iter().map(|c| c.name.clone()).collect();
+                (n.name.clone(), children)
+            })
+            .collect()
+    }
+
     #[test]
     fn traced_runs_parallel_under_shared_recorder() {
+        // Workers run untraced: the caller's recorder holds the query
+        // span and its quantize leaf, never a worker's scan or refine.
         let (p, w) = workload(4, 250, 60, 36);
         let gir = Gir::with_defaults(&p, &w);
         let par = gir.parallel(ParConfig::deterministic(3));
@@ -1584,26 +947,74 @@ mod tests {
         assert_eq!(traced, par.reverse_k_ranks(&q, 8, &mut su));
         assert_eq!(st, su, "tracing must not change deterministic counters");
         assert_eq!(rec.counter("par.sequential_fallback"), None);
-        let tree = rec.span_tree();
-        assert!(
-            !tree.roots.is_empty(),
-            "worker spans must land in the shared recorder"
+        assert_eq!(
+            phase_names(&rec.span_tree()),
+            vec![("rkr".to_string(), vec!["quantize".to_string()])]
         );
     }
 
     #[test]
     fn traced_falls_back_sequentially_for_non_sync_recorder() {
+        // No recorder crosses a thread, so a single-threaded one traces
+        // a parallel query too: it runs on the pool and books the
+        // untraced counters.
         let (p, w) = workload(4, 250, 60, 37);
         let gir = Gir::with_defaults(&p, &w);
-        let par = gir.parallel(ParConfig::with_threads(4));
+        let par = gir.parallel(ParConfig::deterministic(4));
         let q = p.point(PointId(41)).to_vec();
         let rec = MetricsRecorder::new();
         let mut st = QueryStats::default();
+        let mut su = QueryStats::default();
         let mut ss = QueryStats::default();
         let traced = par.reverse_top_k_traced(&q, 8, &mut st, &rec);
+        assert_eq!(traced, par.reverse_top_k(&q, 8, &mut su));
         assert_eq!(traced, gir.reverse_top_k(&q, 8, &mut ss));
-        assert_eq!(st, ss, "fallback runs the sequential engine");
-        assert_eq!(rec.counter("par.sequential_fallback"), Some(1));
+        assert_eq!(st, su, "tracing must not change parallel counters");
+        assert_eq!(rec.counter("par.sequential_fallback"), None);
+        assert_eq!(
+            phase_names(&rec.span_tree()),
+            vec![("rtk".to_string(), vec!["quantize".to_string()])]
+        );
+    }
+
+    #[test]
+    fn indexed_shards_visit_weights_in_rank_floor_order() {
+        // Each worker runs the sequential engine's best-first pre-pass
+        // over its own shard: the bound timeline of an explained, indexed
+        // RKR lists every shard's deciding weights in non-decreasing
+        // rank-floor order.
+        let (p, w) = workload(4, 600, 300, 31);
+        let mut gir = Gir::with_defaults(&p, &w);
+        let buckets = ThresholdIndex::default_buckets(&[10], p.len());
+        let idx = gir.build_threshold_index(&buckets).unwrap();
+        gir.attach_threshold_index(idx).unwrap();
+        let ti = gir.threshold_index().unwrap();
+        let par = gir.parallel(ParConfig::deterministic(3));
+        let mut longest = 0;
+        for qid in [3usize, 150, 420] {
+            let q = p.point(PointId(qid)).to_vec();
+            let mut sp = QueryStats::default();
+            let mut ss = QueryStats::default();
+            let mut doc = ExplainDoc::new();
+            let got = par.reverse_k_ranks_explained(&q, 10, &mut sp, &mut doc);
+            assert_eq!(got, gir.reverse_k_ranks(&q, 10, &mut ss), "q {qid}");
+            assert!(sp.threshold_hits > 0, "q {qid}: no certificate fired");
+            for shard in ParGir::<Grid>::shards(w.len(), 3) {
+                let floors: Vec<usize> = doc
+                    .timeline
+                    .iter()
+                    .map(|e| e.weight as usize)
+                    .filter(|wid| shard.contains(wid))
+                    .map(|wid| ti.rank_floor(wid, rrq_types::dot(w.weight(WeightId(wid)), &q)))
+                    .collect();
+                assert!(
+                    floors.windows(2).all(|f| f[0] <= f[1]),
+                    "q {qid} shard {shard:?}: {floors:?}"
+                );
+                longest = longest.max(floors.len());
+            }
+        }
+        assert!(longest >= 2, "every shard timeline too short to order");
     }
 
     #[test]
@@ -1669,10 +1080,11 @@ mod tests {
     #[test]
     fn poisoned_barrier_rejects_late_waiters() {
         // A worker that has not yet reached the rendezvous when the
-        // poison lands must also panic on its next wait, not enqueue
+        // poison lands must also panic on its next exchange, not enqueue
         // itself on a barrier that can never complete again.
-        let barrier = PoisonBarrier::new(2);
-        barrier.poison();
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| barrier.wait())).is_err());
+        let sync = EpochSync::new(2);
+        sync.poison();
+        let late = std::panic::AssertUnwindSafe(|| sync.exchange(0, 7, false));
+        assert!(std::panic::catch_unwind(late).is_err());
     }
 }

@@ -1,10 +1,12 @@
 //! Persistent scoped worker pool for the parallel query engine.
 //!
-//! PR 3's [`ParGir`](crate::ParGir) spawns a fresh `std::thread::scope`
-//! per query, which the performance notes flag as the dominant cost for
-//! small `|W|`. [`pool_scope`] amortises that cost: it spawns `workers`
-//! long-lived threads once, hands the caller a [`WorkerPool`] handle, and
-//! joins everything when the closure returns. Each query submitted
+//! [`ParGir`](crate::ParGir) runs every query's shard jobs on a pool.
+//! Without an attached pool it opens a one-off [`pool_scope`] per query,
+//! spawning and joining its threads each time, which the performance
+//! notes flag as the dominant cost for small `|W|`. A pool built once
+//! amortises that cost: [`pool_scope`] spawns `workers` long-lived
+//! threads, hands the caller a [`WorkerPool`] handle, and joins everything
+//! when the closure returns. Each query submitted
 //! through [`WorkerPool::run`] is a batch of boxed shard jobs fed through
 //! one mpsc channel — no per-query spawn, no per-query join, just a
 //! channel send per shard.

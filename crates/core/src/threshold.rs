@@ -607,18 +607,6 @@ impl ThresholdIndex {
         }
     }
 
-    /// Whether the thresholds certify `rank(q, w) > bound` — i.e. a
-    /// bounded [`crate::Gir`] scan (`gin_rank`) would return `None`, so
-    /// the RKR heap offer can be skipped without changing the result.
-    ///
-    /// Holds iff the floor the slot proves ([`Self::slot_floor`] of
-    /// [`Self::rank_floor`]) exceeds `bound`. An unsaturated heap
-    /// (`bound == usize::MAX`) never skips.
-    #[inline]
-    pub(crate) fn certifies_rank_above(&self, wid: usize, bound: usize, fq: f64) -> bool {
-        self.slot_floor(wid, self.rank_floor(wid, fq)) > bound
-    }
-
     // ---- incremental maintenance (the mutable engine's write path) ----
 
     /// Whether a point op whose score under weight `wid` is `s` can
@@ -1070,15 +1058,16 @@ mod tests {
             scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
             for bound in [0usize, 3, 5, 11, 29, usize::MAX] {
                 for &fq in &[scores[3], scores[11], scores[20], 0.0, f64::MAX] {
-                    let certified = idx.certifies_rank_above(wid.0, bound, fq);
+                    let certified = idx.slot_floor(wid.0, idx.rank_floor(wid.0, fq)) > bound;
                     let rank = scores.iter().filter(|&&s| s < fq).count();
                     if certified {
                         assert!(rank > bound, "w{} bound {bound} fq {fq}", wid.0);
                     }
                 }
             }
-            // An unsaturated heap never skips.
-            assert!(!idx.certifies_rank_above(wid.0, usize::MAX, f64::MAX));
+            // An unsaturated heap (bound `usize::MAX`) never skips: no
+            // floor exceeds |P|.
+            assert!(idx.slot_floor(wid.0, idx.rank_floor(wid.0, f64::MAX)) <= p.len());
         }
     }
 
@@ -1087,8 +1076,7 @@ mod tests {
     /// below and above every score: the slot equals the number of rungs
     /// whose oracle threshold (`+∞` past `|P|`) lies strictly below `fq`;
     /// the floor rung is sound (≤ the true rank) and tight (the next
-    /// rung scores ≥ `fq`); and `certifies_rank_above` is exactly
-    /// `floor > bound`. Returns the number of probes checked.
+    /// rung scores ≥ `fq`). Returns the number of probes checked.
     fn assert_rank_floor_matches_oracle(
         idx: &ThresholdIndex,
         points: &PointSet,
@@ -1120,13 +1108,6 @@ mod tests {
                     assert!(
                         rung_score(next) >= fq,
                         "w{wid} fq {fq}: rung {next} not tight"
-                    );
-                }
-                for bound in (0..=points.len() + 1).chain([usize::MAX]) {
-                    assert_eq!(
-                        idx.certifies_rank_above(wid, bound, fq),
-                        floor > bound,
-                        "w{wid} fq {fq} bound {bound}"
                     );
                 }
                 checked += 1;

@@ -6,7 +6,7 @@
 //!
 //! 1. **Byte-identity** — across shapes × grid resolutions × k values
 //!    (materialized buckets, bracket straddles, `k = 1`, `k = |P|`,
-//!    `k > |P|`) × engines (sequential, `ParGir` in all three bound
+//!    `k > |P|`) × engines (sequential, `ParGir` in both bound
 //!    modes, pool-backed), RTK and RKR results with the index attached
 //!    equal the results without it, entry for entry.
 //! 2. **Funnel reconciliation** — explained runs with the index
@@ -41,11 +41,10 @@ enum Engine {
     Pool,
 }
 
-const ENGINES: [Engine; 5] = [
+const ENGINES: [Engine; 4] = [
     Engine::Seq,
     Engine::Par(BoundMode::Local),
     Engine::Par(BoundMode::Epoch(16)),
-    Engine::Par(BoundMode::Shared),
     Engine::Pool,
 ];
 

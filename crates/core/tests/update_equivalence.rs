@@ -7,8 +7,8 @@
 //!
 //! * against the **mutable engine** — tombstones, append tails,
 //!   incremental threshold repair, epoch publishes, compaction folds —
-//!   queried through all five engines (sequential, `ParGir`
-//!   local/epoch/shared, pool-backed);
+//!   queried through all four engines (sequential, `ParGir`
+//!   local/epoch, pool-backed);
 //! * against a **rebuild-from-scratch oracle** — a shadow model of the
 //!   published live rows, re-indexed with `Gir::new` at every query
 //!   point.
@@ -146,11 +146,10 @@ enum Engine {
     Pooled,
 }
 
-const ENGINES: [Engine; 5] = [
+const ENGINES: [Engine; 4] = [
     Engine::Seq,
     Engine::Par(BoundMode::Local),
     Engine::Par(BoundMode::Epoch(8)),
-    Engine::Par(BoundMode::Shared),
     Engine::Pooled,
 ];
 
@@ -395,21 +394,18 @@ fn assert_query_point(
 
         // Explained runs: identical results, exactly reconciled funnel —
         // on the mutable view (tombstone/append mirrors included) and on
-        // the rebuild. Explain only observes the scan, so wherever the
-        // counters are deterministic (all but shared-bound mode, whose
-        // pruning depends on thread timing) they equal the plain run's.
+        // the rebuild. Explain only observes the scan, and every engine's
+        // counters are deterministic, so they equal the plain run's.
         let (e_rtk, e_rkr, e_stats) =
             run_explained(&view, engine, q, k, |wid| state.weight_external(wid), label);
         assert_eq!(e_rtk, want_rtk, "{label} {engine:?}: explained rtk");
         assert_eq!(e_rkr, want_rkr, "{label} {engine:?}: explained rkr");
         let (_, _, oe_stats) = run_explained(&oracle, engine, q, k, |wid| ow_ext[wid], label);
-        if !matches!(engine, Engine::Par(BoundMode::Shared)) {
-            assert_eq!(e_stats, plain_stats, "{label} {engine:?}: explained stats");
-            assert_eq!(
-                oe_stats, o_stats,
-                "{label} {engine:?}: oracle explained stats"
-            );
-        }
+        assert_eq!(e_stats, plain_stats, "{label} {engine:?}: explained stats");
+        assert_eq!(
+            oe_stats, o_stats,
+            "{label} {engine:?}: oracle explained stats"
+        );
     }
     floor_checks
 }

@@ -2,8 +2,8 @@
 //! into a workspace symbol graph and walks it from the query entry
 //! points (`Gir::rtk`/`rkr`, the `ParGir` engine, `WorkerPool` job
 //! bodies). Any fn transitively reachable from an entry point must not
-//! reach a wall-clock read, a thread spawn outside the parallel engine,
-//! or an unjustified atomic — and the diagnostic prints the offending
+//! reach a wall-clock read, a thread spawn outside the worker pool, or
+//! an unjustified atomic — and the diagnostic prints the offending
 //! call chain hop by hop, which is what the per-file path whitelists
 //! could never do.
 //!
@@ -29,10 +29,10 @@ const RENDEZVOUS_FILES: [&str; 2] = ["crates/core/src/pool.rs", "crates/core/src
 
 /// Types whose own methods *implement* the rendezvous machinery and its
 /// guards — their internal waits are the mechanism, not a use of it.
-const RENDEZVOUS_TYPES: [&str; 3] = ["PoisonBarrier", "EpochSync", "EpochPanicGuard"];
+const RENDEZVOUS_TYPES: [&str; 2] = ["EpochSync", "EpochPanicGuard"];
 
 /// Files whose thread creation is sanctioned on the query path.
-const SPAWN_CONFINED: [&str; 2] = ["crates/core/src/par.rs", "crates/core/src/pool.rs"];
+const SPAWN_CONFINED: [&str; 1] = ["crates/core/src/pool.rs"];
 
 /// Runs every workspace (cross-file) graph rule. Returns diagnostics as
 /// `(path, raw diag)` pairs. `check_roots` enables the root-liveness

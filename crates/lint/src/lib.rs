@@ -15,7 +15,7 @@
 //! | `unsafe-containment` | `unsafe` rooted + `// SAFETY:`-commented |
 //! | `atomic-ordering-justified` | `Ordering::*` rooted + `// ORDERING:`-commented |
 //! | `no-wall-clock-in-counters` | clock reads confined to obs + timed sections |
-//! | `no-thread-spawn-outside-par` | spawning confined to par.rs + runner striping |
+//! | `no-thread-spawn-outside-par` | spawning confined to pool.rs + runner striping |
 //! | `no-unwrap-in-lib` | no undocumented panic sites in library code |
 //! | `seqcst-justified` | `SeqCst` argued everywhere, tests included |
 //!

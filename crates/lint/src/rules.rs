@@ -27,8 +27,8 @@ pub enum Rule {
     /// crate and the bench runner's timed sections: counters must be a
     /// pure function of data, query and shard layout.
     NoWallClockInCounters,
-    /// Thread spawning confined to the parallel engine and the bench
-    /// runner's batch striping.
+    /// Thread spawning confined to the worker pool the parallel engine
+    /// runs on and the bench runner's batch striping.
     NoThreadSpawnOutsidePar,
     /// `unwrap()`/`expect("…")` banned in library `src/`; every
     /// intentional panic site carries a suppression with a reason.
@@ -45,8 +45,8 @@ pub enum Rule {
     /// the engine.
     ConfinementWallClock,
     /// Call-graph rule: thread creation reachable from the query entry
-    /// points must stay inside the parallel engine (`par.rs`) and its
-    /// worker pool (`pool.rs`) — anything else bypasses the
+    /// points must stay inside the worker pool (`pool.rs`), which the
+    /// parallel engine runs its shards on — anything else bypasses the
     /// deterministic sharding/merge discipline.
     ConfinementThreadSpawn,
     /// Call-graph rule: an atomic-ordering site reachable from the
@@ -126,7 +126,7 @@ impl Rule {
                  sections"
             }
             Rule::NoThreadSpawnOutsidePar => {
-                "thread creation confined to the parallel engine, worker pool and bench striping"
+                "thread creation confined to the worker pool and bench striping"
             }
             Rule::NoUnwrapInLib => "no undocumented panic sites (unwrap/expect) in library code",
             Rule::SeqCstJustified => {
@@ -136,7 +136,7 @@ impl Rule {
                 "no wall-clock read transitively reachable from the query entry points"
             }
             Rule::ConfinementThreadSpawn => {
-                "no thread creation reachable from the query entry points outside par.rs/pool.rs"
+                "no thread creation reachable from the query entry points outside pool.rs"
             }
             Rule::ConfinementAtomics => {
                 "no unjustified atomic-ordering site reachable from the query entry points"
@@ -227,7 +227,7 @@ pub struct Root {
 /// Every annotated root in the workspace. This is the single source the
 /// per-file checks, the call-graph confinement pass and the staleness
 /// audit all read.
-pub const ROOTS: [Root; 11] = [
+pub const ROOTS: [Root; 9] = [
     Root {
         kind: RootKind::Unsafe,
         path: "crates/obs/src/alloc.rs",
@@ -237,11 +237,6 @@ pub const ROOTS: [Root; 11] = [
         kind: RootKind::Unsafe,
         path: "crates/obs/tests/noop_alloc.rs",
         why: "the allocation-free-path proof needs its own GlobalAlloc",
-    },
-    Root {
-        kind: RootKind::Ordering,
-        path: "crates/core/src/par.rs",
-        why: "shared-bound broadcast and saturation flag of the parallel engine",
     },
     Root {
         kind: RootKind::Ordering,
@@ -267,11 +262,6 @@ pub const ROOTS: [Root; 11] = [
         kind: RootKind::WallClock,
         path: "crates/bench/src/bin/rrq-exp.rs",
         why: "the experiment driver's wall-clock progress reporting",
-    },
-    Root {
-        kind: RootKind::ThreadSpawn,
-        path: "crates/core/src/par.rs",
-        why: "the parallel query engine's scoped shard workers",
     },
     Root {
         kind: RootKind::ThreadSpawn,
@@ -509,8 +499,8 @@ fn check_atomic_ordering(path: &str, view: &FileView, out: &mut Vec<RawDiag>) {
             out.push(RawDiag {
                 rule: Rule::AtomicOrderingJustified,
                 line: n,
-                message: "atomic memory orderings are confined to crates/core/src/par.rs, \
-                          crates/obs/src/shared.rs and crates/obs/src/alloc.rs"
+                message: "atomic memory orderings are confined to crates/obs/src/shared.rs \
+                          and crates/obs/src/alloc.rs"
                     .to_string(),
             });
         } else if !has_marker_near(view, n, "ORDERING:") {
@@ -562,9 +552,8 @@ fn check_thread_spawn(path: &str, view: &FileView, out: &mut Vec<RawDiag>) {
             out.push(RawDiag {
                 rule: Rule::NoThreadSpawnOutsidePar,
                 line: n,
-                message: "thread spawning is confined to the parallel engine \
-                          (crates/core/src/par.rs), its worker pool \
-                          (crates/core/src/pool.rs), and the bench runner's batch \
+                message: "thread spawning is confined to the worker pool \
+                          (crates/core/src/pool.rs) and the bench runner's batch \
                           striping (crates/bench/src/runner.rs)"
                     .to_string(),
             });

@@ -1,4 +1,4 @@
-// Fixture: linted under the virtual path crates/core/src/par.rs (a
+// Fixture: linted under the virtual path crates/obs/src/shared.rs (a
 // whitelisted file) — permitted sites still need justifying comments.
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -134,7 +134,7 @@ fn atomic_ordering_suppression_works() {
 
 #[test]
 fn whitelisted_atomics_still_need_ordering_comments() {
-    let diags = lint_fixture("atomic_ordering_uncommented.rs", "crates/core/src/par.rs");
+    let diags = lint_fixture("atomic_ordering_uncommented.rs", "crates/obs/src/shared.rs");
     assert_eq!(lines_of(&diags, "atomic-ordering-justified"), vec![6]);
     assert!(diags[0].message.contains("ORDERING"));
 }
@@ -196,7 +196,6 @@ fn thread_spawn_fires_outside_par_and_runner() {
 #[test]
 fn thread_spawn_allowed_in_par_and_tests() {
     for path in [
-        "crates/core/src/par.rs",
         "crates/core/src/pool.rs",
         "crates/bench/src/runner.rs",
         "crates/core/tests/fixture.rs",
@@ -590,7 +589,7 @@ fn whitelist_stale_suppression_works() {
     assert!(
         diags
             .iter()
-            .any(|d| d.rule == "whitelist-stale" && d.path == "crates/core/src/par.rs"),
+            .any(|d| d.rule == "whitelist-stale" && d.path == "crates/core/src/pool.rs"),
         "{diags:?}"
     );
 }

@@ -54,8 +54,7 @@
 # RKR from an index on the same ladder, so the same changes move it.
 set -euo pipefail
 
-cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel 2>/dev/null || dirname "$0")/" 2>/dev/null \
-  || cd "$(dirname "$0")/.."
+cd "$(dirname "$0")/.."
 
 baseline_dir="bench/baselines"
 latency_pct="${RRQ_LATENCY_PCT:-inf}"

@@ -12,8 +12,7 @@
 # touches the network. Run from anywhere inside the repository.
 set -euo pipefail
 
-cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel 2>/dev/null || dirname "$0")/" 2>/dev/null \
-  || cd "$(dirname "$0")/.."
+cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -206,6 +205,21 @@ if [ "$plain_mults" -le 0 ] || [ "$plain_mults" -lt $(( 5 * indexed_mults )) ]; 
   exit 1
 fi
 echo "    GIR rkr multiplications: $plain_mults -> $indexed_mults (>= 5x cut)"
+# (c) The parallel engine runs the same best-first loop on each shard:
+#     indexed GIR RKR on a 4-worker pool in epoch mode may book at most
+#     3x the sequential indexed run's multiplications (each shard fills
+#     its own heap before its bound tightens). Shards scanned in id order
+#     booked 4.9x.
+th_pool="$th_dir/pool"
+mkdir -p "$th_pool"
+(cd "$th_pool" && "$OLDPWD/target/release/rrq-exp" fig10 --smoke --threshold-index \
+  --par-query 4 --par-pool --par-epoch 64 >/dev/null)
+pooled_mults=$(gir_counter "$th_pool/BENCH_fig10.json" multiplications rkr)
+if [ "$indexed_mults" -le 0 ] || [ "$pooled_mults" -gt $(( 3 * indexed_mults )) ]; then
+  echo "error: pooled indexed RKR work too large: multiplications $indexed_mults (sequential) -> $pooled_mults (4-worker pool), need <= 3x" >&2
+  exit 1
+fi
+echo "    pooled GIR rkr multiplications: $pooled_mults (<= 3x the sequential $indexed_mults)"
 
 echo "==> update trace smoke (mutable engine vs rebuild, same seed twice)"
 # The update trace is a pure function of its seed. The runner itself

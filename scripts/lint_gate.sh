@@ -24,8 +24,7 @@
 # benchdiff-style exit codes. See DESIGN.md §11 for the rule catalogue.
 set -uo pipefail
 
-cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel 2>/dev/null || dirname "$0")/" 2>/dev/null \
-  || cd "$(dirname "$0")/.."
+cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release -p rrq-lint"
 if ! cargo build --release -q -p rrq-lint; then

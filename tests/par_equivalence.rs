@@ -2,17 +2,18 @@
 //! persistent worker pool.
 //!
 //! The contract under test (DESIGN.md §5b): for every bound-sharing mode,
-//! worker count, epoch size, grid configuration and substrate (scoped
-//! threads vs a long-lived [`WorkerPool`]), the parallel engine returns
-//! results **byte-identical** to the sequential scan — and in the
-//! deterministic modes (`Local`, `Epoch`) the full [`QueryStats`]
-//! counters are an exact function of `(data, query, shards, epoch)` too,
-//! independent of which substrate executed the shards.
+//! worker count, epoch size and engine configuration (threshold index
+//! included), with or without an attached long-lived [`WorkerPool`], the
+//! parallel engine returns results **byte-identical** to the sequential
+//! scan — and the full [`QueryStats`] counters are an exact function of
+//! `(data, query, shards, epoch)` too, whether the shards ran on an
+//! attached pool or on the one-off pool an unattached engine opens.
 //!
 //! Workloads are seeded through [`SplitMix64`] so every derived dataset,
 //! query choice and configuration sweep is reproducible from one root
 //! seed.
 
+use reverse_rank::core::ThresholdIndex;
 use reverse_rank::data::{DataSpec, PointDistribution, SplitMix64, WeightDistribution};
 use reverse_rank::obs::SharedRecorder;
 use reverse_rank::{
@@ -72,34 +73,47 @@ fn workloads(root_seed: u64) -> Vec<Workload> {
     out
 }
 
-/// The grid configurations swept per workload: the defaults plus a
-/// bit-packed fine grid (different cell classification, same answers).
-fn grid_configs() -> Vec<GirConfig> {
+/// The engine configurations swept per workload: the defaults, a
+/// bit-packed fine grid (different cell classification, same answers),
+/// and the defaults with a threshold index at the workload's `k` (RTK
+/// decided by one comparison per weight, RKR shards visited best-first).
+/// `true` marks the indexed one.
+fn grid_configs() -> Vec<(GirConfig, bool)> {
     vec![
-        GirConfig::default(),
-        GirConfig {
-            partitions: 128,
-            packed: true,
-            ..Default::default()
-        },
+        (GirConfig::default(), false),
+        (
+            GirConfig {
+                partitions: 128,
+                packed: true,
+                ..Default::default()
+            },
+            false,
+        ),
+        (GirConfig::default(), true),
     ]
 }
 
+/// Builds one engine of [`grid_configs`] over a workload.
+fn engine(wl: &Workload, cfg: GirConfig, indexed: bool) -> Gir<'_> {
+    let mut gir = Gir::new(&wl.p, &wl.w, cfg);
+    if indexed {
+        let buckets = ThresholdIndex::default_buckets(&[wl.k], wl.p.len());
+        let index = gir.build_threshold_index(&buckets).expect("index builds");
+        gir.attach_threshold_index(index).expect("index attaches");
+    }
+    gir
+}
+
 /// The bound-sharing modes exercised for a workload with `nw` weights:
-/// nondeterministic shared bounds, per-worker local bounds, and epoch
-/// snapshots at the extremes (every weight, the default 64, one round).
+/// per-worker local bounds, and epoch snapshots at the extremes (every
+/// weight, the default 64, one round).
 fn modes(nw: usize) -> Vec<BoundMode> {
     vec![
-        BoundMode::Shared,
         BoundMode::Local,
         BoundMode::Epoch(1),
         BoundMode::Epoch(64),
         BoundMode::Epoch(nw.max(1)),
     ]
-}
-
-fn stats_deterministic(mode: BoundMode) -> bool {
-    mode != BoundMode::Shared
 }
 
 /// Sequential ground truth for one query.
@@ -111,15 +125,14 @@ fn expected(gir: &Gir, q: &[f64], k: usize) -> (RtkResult, QueryStats, RkrResult
     (rtk, rtk_stats, rkr, rkr_stats)
 }
 
-/// The tentpole assertion: every (grid × mode × workers × substrate)
-/// combination returns the sequential answer bit-for-bit, and the
-/// deterministic modes reproduce the *pooled* counters on the scoped
-/// substrate exactly (and vice versa).
+/// The tentpole assertion: every (engine × mode × workers × pool)
+/// combination returns the sequential answer bit-for-bit, and an engine
+/// without an attached pool books exactly the counters of one with it.
 #[test]
 fn pool_and_scope_match_sequential_across_the_configuration_grid() {
     for wl in workloads(0xD1FF_E4E2) {
-        for cfg in grid_configs() {
-            let gir = Gir::new(&wl.p, &wl.w, cfg);
+        for (cfg, indexed) in grid_configs() {
+            let gir = engine(&wl, cfg, indexed);
             for q in &wl.queries {
                 let (rtk_exp, _, rkr_exp, _) = expected(&gir, q, wl.k);
                 for &workers in WORKER_COUNTS {
@@ -134,7 +147,7 @@ fn pool_and_scope_match_sequential_across_the_configuration_grid() {
                         assert_eq!(
                             got_rtk,
                             rtk_exp,
-                            "scoped RTK diverged ({par_cfg:?}, {:?})",
+                            "scoped RTK diverged ({par_cfg:?}, {:?}, indexed {indexed})",
                             gir.config()
                         );
                         let mut scoped_rkr_stats = QueryStats::default();
@@ -142,7 +155,7 @@ fn pool_and_scope_match_sequential_across_the_configuration_grid() {
                         assert_eq!(
                             got_rkr,
                             rkr_exp,
-                            "scoped RKR diverged ({par_cfg:?}, {:?})",
+                            "scoped RKR diverged ({par_cfg:?}, {:?}, indexed {indexed})",
                             gir.config()
                         );
 
@@ -160,16 +173,14 @@ fn pool_and_scope_match_sequential_across_the_configuration_grid() {
                                 rkr_exp,
                                 "pooled RKR diverged ({par_cfg:?})"
                             );
-                            if stats_deterministic(mode) {
-                                assert_eq!(
-                                    pool_rtk_stats, scoped_rtk_stats,
-                                    "pooled RTK counters must equal scoped ({par_cfg:?})"
-                                );
-                                assert_eq!(
-                                    pool_rkr_stats, scoped_rkr_stats,
-                                    "pooled RKR counters must equal scoped ({par_cfg:?})"
-                                );
-                            }
+                            assert_eq!(
+                                pool_rtk_stats, scoped_rtk_stats,
+                                "pooled RTK counters must equal scoped ({par_cfg:?})"
+                            );
+                            assert_eq!(
+                                pool_rkr_stats, scoped_rkr_stats,
+                                "pooled RKR counters must equal scoped ({par_cfg:?})"
+                            );
                         });
                     }
                 }
@@ -178,46 +189,57 @@ fn pool_and_scope_match_sequential_across_the_configuration_grid() {
     }
 }
 
-/// Epoch-mode counters are reproducible run-to-run on both substrates:
-/// two fresh executions of the same `(data, query, shards, epoch)` tuple
-/// yield identical [`QueryStats`], making the mode gateable by
-/// `rrq-benchdiff` at zero counter tolerance.
+/// Epoch-mode counters are reproducible run-to-run, with or without an
+/// attached pool and with or without a threshold index: two fresh
+/// executions of the same `(data, query, shards, epoch)` tuple yield
+/// identical [`QueryStats`], making the mode gateable by `rrq-benchdiff`
+/// at zero counter tolerance.
 #[test]
 fn epoch_mode_stats_are_a_pure_function_of_the_configuration() {
     for wl in workloads(0xE9_0C) {
-        let gir = Gir::with_defaults(&wl.p, &wl.w);
-        let q = &wl.queries[0];
-        for &workers in &[2usize, 4, 7] {
-            for &every in &[1usize, 64, wl.w.len()] {
-                let par_cfg = ParConfig::epoch(workers, every);
-                let runs: Vec<(RtkResult, QueryStats, RkrResult, QueryStats)> = (0..2)
-                    .map(|_| {
-                        pool_scope(workers, |pool| {
-                            let eng = gir.parallel(par_cfg).with_pool(pool);
-                            let mut rtk_stats = QueryStats::default();
-                            let rtk = eng.reverse_top_k(q, wl.k, &mut rtk_stats);
-                            let mut rkr_stats = QueryStats::default();
-                            let rkr = eng.reverse_k_ranks(q, wl.k, &mut rkr_stats);
-                            (rtk, rtk_stats, rkr, rkr_stats)
-                        })
+        for (cfg, indexed) in grid_configs() {
+            let gir = engine(&wl, cfg, indexed);
+            epoch_runs_reproduce(&gir, &wl, indexed);
+        }
+    }
+}
+
+/// Runs every epoch configuration of one engine twice on a pool and once
+/// unattached, and checks the three agree exactly.
+fn epoch_runs_reproduce(gir: &Gir<'_>, wl: &Workload, indexed: bool) {
+    let q = &wl.queries[0];
+    for &workers in &[2usize, 4, 7] {
+        for &every in &[1usize, 64, wl.w.len()] {
+            let par_cfg = ParConfig::epoch(workers, every);
+            let runs: Vec<(RtkResult, QueryStats, RkrResult, QueryStats)> = (0..2)
+                .map(|_| {
+                    pool_scope(workers, |pool| {
+                        let eng = gir.parallel(par_cfg).with_pool(pool);
+                        let mut rtk_stats = QueryStats::default();
+                        let rtk = eng.reverse_top_k(q, wl.k, &mut rtk_stats);
+                        let mut rkr_stats = QueryStats::default();
+                        let rkr = eng.reverse_k_ranks(q, wl.k, &mut rkr_stats);
+                        (rtk, rtk_stats, rkr, rkr_stats)
                     })
-                    .collect();
-                assert_eq!(
-                    runs[0], runs[1],
-                    "epoch mode must be bit-reproducible (workers={workers}, every={every})"
-                );
-                // And the scoped substrate agrees with the pool exactly.
-                let scoped = gir.parallel(par_cfg);
-                let mut rtk_stats = QueryStats::default();
-                let rtk = scoped.reverse_top_k(q, wl.k, &mut rtk_stats);
-                let mut rkr_stats = QueryStats::default();
-                let rkr = scoped.reverse_k_ranks(q, wl.k, &mut rkr_stats);
-                assert_eq!(
-                    runs[0],
-                    (rtk, rtk_stats, rkr, rkr_stats),
-                    "scoped epoch run must match pooled (workers={workers}, every={every})"
-                );
-            }
+                })
+                .collect();
+            assert_eq!(
+                runs[0], runs[1],
+                "epoch mode must be bit-reproducible \
+                 (workers={workers}, every={every}, indexed {indexed})"
+            );
+            // And an unattached engine agrees with the pool exactly.
+            let scoped = gir.parallel(par_cfg);
+            let mut rtk_stats = QueryStats::default();
+            let rtk = scoped.reverse_top_k(q, wl.k, &mut rtk_stats);
+            let mut rkr_stats = QueryStats::default();
+            let rkr = scoped.reverse_k_ranks(q, wl.k, &mut rkr_stats);
+            assert_eq!(
+                runs[0],
+                (rtk, rtk_stats, rkr, rkr_stats),
+                "scoped epoch run must match pooled \
+                 (workers={workers}, every={every}, indexed {indexed})"
+            );
         }
     }
 }

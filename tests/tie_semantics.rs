@@ -192,7 +192,7 @@ fn check_workload(p: &PointSet, w: &WeightSet, q: &[f64]) {
             );
             // The parallel engine inherits whatever tie semantics the
             // sequential scan has — both modes must match too.
-            for par in [ParConfig::deterministic(3), ParConfig::with_threads(2)] {
+            for par in [ParConfig::deterministic(3), ParConfig::epoch(2, 1)] {
                 let eng = gir.parallel(par);
                 let mut s = QueryStats::default();
                 assert_eq!(eng.reverse_top_k(q, k, &mut s), rtk_expected);
